@@ -45,6 +45,13 @@ def _default_threads() -> int:
         return 1
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_seed_list(raw: str) -> list[int]:
     try:
         seeds = [int(tok) for tok in raw.replace(",", " ").split()]
@@ -73,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (csv only for mine/sweep)",
     )
     parser.add_argument(
-        "--threads", type=int, default=_default_threads(),
+        "--threads", type=_positive_int, default=_default_threads(),
         help=f"worker threads for mine/sweep (default ${_THREADS_ENV} or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

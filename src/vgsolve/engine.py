@@ -20,8 +20,10 @@ reaches rank 11n - 15.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,7 @@ from .geometry import (
     fundamental_assignment,
     random_generic_configuration,
 )
-from .graph import ViewingGraph
+from .graph import ViewingGraph, _piece_roots
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -117,6 +119,76 @@ class JacobianSystem:
         return self.matrix.shape[1]
 
 
+# the vech(S + S^T) operator reshaped so that C @ kron(I4, A) is one einsum
+_C4 = vech_sym_operator(4).reshape(10, 4, 4)
+
+
+def _edge_blocks(Pi, Pj, F, prime: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(m, 10, 12) derivatives of every edge residual vech(S + S^T),
+    S = Pj^T F Pi, with respect to camera i and to camera j.  With ``prime``
+    the inputs are int64 residues and the 3-term dot products are reduced
+    before they meet the operator, so no sum passes 2^63."""
+    m = len(F)
+    PjTF = np.einsum("eka,ekl->eal", Pj, F)                     # (m, 4, 3)
+    FPiT = np.einsum("ekl,elb->ekb", F, Pi).transpose(0, 2, 1)  # (m, 4, 3)
+    C4 = _C4 if prime is None else _C4.astype(np.int64)  # entries 0, 1, 2
+    if prime is not None:
+        PjTF %= prime
+        FPiT %= prime
+    block_i = np.einsum("rab,ebc->erac", C4, PjTF).reshape(m, 10, 12)
+    block_j = np.einsum("rab,ebc->erac", C4, FPiT).reshape(m, 10, 12)
+    if prime is not None:
+        block_i %= prime
+        block_j %= prime
+    return block_i, block_j
+
+
+def _jacobian_coo(
+    n: int, ei, ej, block_i, block_j, gauge_edge: tuple[int, int]
+) -> tuple[sp.coo_matrix, Iterator[RowBlock]]:
+    """Lay the edge blocks, gauge rows and scale rows out as the augmented
+    Jacobian of the module docstring, in the blocks' dtype.  The row
+    provenance is lazy, so callers that skip it never walk the edges."""
+    m = len(ei)
+    a, b = gauge_edge
+    row_base = (10 * np.arange(m))[:, None, None] + np.arange(10)[None, :, None]
+    col_i = (12 * ei)[:, None, None] + np.arange(12)[None, None, :]
+    col_j = (12 * ej)[:, None, None] + np.arange(12)[None, None, :]
+    shape3 = (m, 10, 12)
+    rows_idx = [np.broadcast_to(row_base, shape3).ravel()] * 2
+    cols_idx = [np.broadcast_to(col_i, shape3).ravel(),
+                np.broadcast_to(col_j, shape3).ravel()]
+    data = [block_i.ravel(), block_j.ravel()]
+
+    # gauge rows: fix camera a entrywise, then the first row of camera b
+    r0 = 10 * m
+    rows_idx.append(r0 + np.arange(12))
+    cols_idx.append(12 * a + np.arange(12))
+    data.append(np.ones(12, block_i.dtype))
+    r1 = r0 + 12
+    rows_idx.append(r1 + np.arange(4))
+    cols_idx.append(12 * b + 3 * np.arange(4))  # vec index of entry (0, c) is 3c
+    data.append(np.ones(4, block_i.dtype))
+
+    # scale rows: sum of entries pinned for every camera except a
+    r2 = r1 + 4
+    others = np.delete(np.arange(n), a)
+    rows_idx.append(np.repeat(r2 + np.arange(n - 1), 12))
+    cols_idx.append(((12 * others)[:, None] + np.arange(12)[None, :]).ravel())
+    data.append(np.ones(12 * (n - 1), block_i.dtype))
+
+    coo = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
+        shape=(10 * m + n + 15, 12 * n),
+    )
+    blocks = itertools.chain(
+        (RowBlock("edge-constraint", k, 10 * k, 10) for k in range(m)),
+        (RowBlock("gauge-P1", a, r0, 12), RowBlock("gauge-P2-row", b, r1, 4)),
+        (RowBlock("scale", int(v), r2 + k, 1) for k, v in enumerate(others)),
+    )
+    return coo, blocks
+
+
 def assemble_jacobian(
     g: ViewingGraph,
     config: CameraConfiguration,
@@ -143,10 +215,8 @@ def assemble_jacobian(
 
     cams = config.cameras
     F = fmats.matrices
-    ei = np.array([e[0] for e in g.edges])
-    ej = np.array([e[1] for e in g.edges])
-    Pi = cams[ei]
-    Pj = cams[ej]
+    ei, ej = np.array(g.edges).T
+    Pi, Pj = cams[ei], cams[ej]
 
     # the fundamental matrices must be compatible with the configuration
     S = np.einsum("eka,ekl,elb->eab", Pj, F, Pi)
@@ -161,55 +231,10 @@ def assemble_jacobian(
             f"(residual {worst:.3e})"
         )
 
-    # edge blocks: 10x12 derivative of the residual w.r.t. each camera.
-    # C4 reshapes the 10x16 operator so C @ kron(I4, A) becomes one einsum.
-    C4 = vech_sym_operator(4).reshape(10, 4, 4)
-    PjTF = np.einsum("eka,ekl->eal", Pj, F)                     # (m, 4, 3)
-    FPiT = np.einsum("ekl,elb->ekb", F, Pi).transpose(0, 2, 1)  # (m, 4, 3)
-    block_i = np.einsum("rab,ebc->erac", C4, PjTF).reshape(m, 10, 12)
-    block_j = np.einsum("rab,ebc->erac", C4, FPiT).reshape(m, 10, 12)
-
-    row_base = (10 * np.arange(m))[:, None, None] + np.arange(10)[None, :, None]
-    col_i = (12 * ei)[:, None, None] + np.arange(12)[None, None, :]
-    col_j = (12 * ej)[:, None, None] + np.arange(12)[None, None, :]
-    shape3 = (m, 10, 12)
-    rows_idx = [np.broadcast_to(row_base, shape3).ravel()] * 2
-    cols_idx = [np.broadcast_to(col_i, shape3).ravel(),
-                np.broadcast_to(col_j, shape3).ravel()]
-    data = [block_i.ravel(), block_j.ravel()]
-
-    # gauge rows: fix camera a entrywise, then the first row of camera b
-    r0 = 10 * m
-    rows_idx.append(r0 + np.arange(12))
-    cols_idx.append(12 * a + np.arange(12))
-    data.append(np.ones(12))
-    r1 = r0 + 12
-    rows_idx.append(r1 + np.arange(4))
-    cols_idx.append(12 * b + 3 * np.arange(4))  # vec index of entry (0, c) is 3c
-    data.append(np.ones(4))
-
-    # scale rows: sum of entries pinned for every camera except a
-    r2 = r1 + 4
-    others = [v for v in range(n) if v != a]
-    rows_sc = np.repeat(r2 + np.arange(len(others)), 12)
-    cols_sc = (12 * np.array(others))[:, None] + np.arange(12)[None, :]
-    rows_idx.append(rows_sc)
-    cols_idx.append(cols_sc.ravel())
-    data.append(np.ones(12 * len(others)))
-
-    total_rows = 10 * m + n + 15
-    matrix = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-        shape=(total_rows, 12 * n),
-    ).tocsr()
-
-    blocks = [RowBlock("edge-constraint", k, 10 * k, 10) for k in range(m)]
-    blocks.append(RowBlock("gauge-P1", a, r0, 12))
-    blocks.append(RowBlock("gauge-P2-row", b, r1, 4))
-    blocks.extend(RowBlock("scale", v, r2 + k, 1) for k, v in enumerate(others))
+    coo, blocks = _jacobian_coo(n, ei, ej, *_edge_blocks(Pi, Pj, F), (a, b))
 
     return JacobianSystem(
-        matrix=matrix,
+        matrix=coo.tocsr(),
         graph=g,
         gauge_edge=(a, b),
         config_seed=config.seed,
@@ -300,11 +325,16 @@ def null_space_basis(
     smax = float(np.sqrt(max(w[-1], 0.0)))
     if smax == 0.0:
         return V
-    # generous eigenvalue pre-filter, then the exact |J v| criterion
-    coarse = w <= (100.0 * tolerance * smax) ** 2
-    cand = V[:, coarse]
-    resid = np.linalg.norm((J @ cand), axis=0)
-    return cand[:, resid <= tolerance * smax].copy()
+    # eigh mixes kernel and near-kernel directions at eps*(smax/snext)^2, enough
+    # to lift a vanishing block over NODE_BLOCK_REL_TOL: split them again by
+    # the SVD of J on every direction below a wide cutoff (Rayleigh-Ritz)
+    cand = V[:, w <= np.sqrt(np.finfo(float).eps) * w[-1]]
+    JC = J @ cand
+    if JC.shape[0] < JC.shape[1]:
+        JC = np.vstack([JC, np.zeros((JC.shape[1] - JC.shape[0], JC.shape[1]))])
+    _, s, Wt = np.linalg.svd(JC, full_matrices=False)
+    keep = int(np.sum(s > tolerance * smax))
+    return cand @ Wt[keep:].T
 
 
 @dataclass(frozen=True)
@@ -369,21 +399,22 @@ def finite_solvability(
     t0 = time.perf_counter()
     verdicts: list[bool] = []
     sigmas: list[tuple[float, float]] = []
+    deficient: JacobianSystem | None = None
     for seed in seeds:
         system = _assemble_for_seed(g, seed, None)
         full, smin, smax = is_full_column_rank(system, tolerance)
         verdicts.append(full)
         sigmas.append((smin, smax))
+        if not full and deficient is None:
+            deficient = system
     majority = sum(verdicts) * 2 > len(verdicts)
     expected = 11 * n - 15
     if majority:
         rank_jp = expected
     else:
-        # recover the rank from the kernel of a representative seed
-        rep = seeds[verdicts.index(majority)]
-        kernel = null_space_basis(_assemble_for_seed(g, rep, None), tolerance)
-        rank_jp = expected - kernel.shape[1]
-    smin, smax = sigmas[-1]
+        rank_jp = expected - null_space_basis(deficient, tolerance).shape[1]
+    # the representative seed is the first to agree with the verdict
+    smin, smax = sigmas[verdicts.index(majority)]
     return SolvabilityReport(
         finite_solvable=majority,
         rank_jp=rank_jp,
@@ -452,31 +483,14 @@ def maximal_components(
     assignment = [-1] * m
     components: list[Component] = []
     iteration = 0
-    while True:
-        try:
-            first = assignment.index(-1)
-        except ValueError:
-            break
+    while -1 in assignment:
+        first = assignment.index(-1)
         # connected piece (over remaining edges) containing the gauge edge
         remaining = [k for k in range(m) if assignment[k] == -1]
-        adj: dict[int, list[int]] = {}
-        for k in remaining:
-            i, j = g.edges[k]
-            adj.setdefault(i, []).append(k)
-            adj.setdefault(j, []).append(k)
-        seen_nodes = set(g.edges[first])
-        frontier = list(seen_nodes)
-        piece_edges: set[int] = set()
-        while frontier:
-            v = frontier.pop()
-            for k in adj.get(v, ()):
-                piece_edges.add(k)
-                for w in g.edges[k]:
-                    if w not in seen_nodes:
-                        seen_nodes.add(w)
-                        frontier.append(w)
-        sub_edge_ids = sorted(piece_edges)
-        sub_nodes = sorted(seen_nodes)
+        roots = _piece_roots(g.node_count, (g.edges[k] for k in remaining))
+        piece = roots[g.edges[first][0]]
+        sub_edge_ids = [k for k in remaining if roots[g.edges[k][0]] == piece]
+        sub_nodes = sorted({v for k in sub_edge_ids for v in g.edges[k]})
         relabel = {v: t for t, v in enumerate(sub_nodes)}
         sub = ViewingGraph(
             len(sub_nodes),
@@ -513,32 +527,29 @@ def maximal_components(
 # exact rank over GF(p): an independent cross-check of the floating verdict
 
 
-def _det3_mod(r0, r1, r2, p: int) -> int:
-    a, b, c = r0
-    d, e, f = r1
-    g_, h, i = r2
-    return (a * (e * i - f * h) - b * (d * i - f * g_) + c * (d * h - e * g_)) % p
+# column pairs of a 3x4 camera; pair t and pair 5 - t are complementary
+_COL_PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).T
+# Laplace sign of each top-row column pair, times (-1)^(h+k) for entry (h, k)
+_LAPLACE_SIGN = np.array([1, -1, 1, 1, -1, 1]) * (-1) ** np.add.outer(
+    np.arange(3), np.arange(3))[:, :, None]
 
 
-def _det4_mod(mat, p: int) -> int:
-    total = 0
-    rows = mat[1:]
-    for c in range(4):
-        minor = [[row[cc] for cc in range(4) if cc != c] for row in rows]
-        term = mat[0][c] * _det3_mod(*minor, p)
-        total += term if c % 2 == 0 else -term
-    return total % p
+def _fundamental_minors_mod(Pi: np.ndarray, Pj: np.ndarray, p: int) -> np.ndarray:
+    """geometry's unnormalized fundamental matrices over GF(p), batched.
 
+    Each 4x4 minor (P_i without row k over P_j without row h) is expanded
+    along its top two rows into complementary 2x2 minors.  Every product of
+    two residues is reduced at once, so nothing passes 2^63.
+    """
 
-def _fundamental_mod(Pi, Pj, p: int) -> list[list[int]]:
-    F = [[0] * 3 for _ in range(3)]
-    for h in range(3):
-        rows_j = [Pj[r] for r in range(3) if r != h]
-        for k in range(3):
-            rows_i = [Pi[r] for r in range(3) if r != k]
-            d = _det4_mod(rows_i + rows_j, p)
-            F[h][k] = d if (h + k) % 2 == 0 else (-d) % p
-    return F
+    def minors(P):  # (m, deleted row, column pair)
+        top, bottom = P[:, [1, 0, 0]], P[:, [2, 2, 1]]
+        c1, c2 = _COL_PAIRS
+        return (top[..., c1] * bottom[..., c2] % p - top[..., c2] * bottom[..., c1] % p) % p
+
+    Mi, Mj = minors(Pi), minors(Pj)
+    terms = Mj[:, :, None, ::-1] * Mi[:, None, :, :] % p  # (m, h, k, pair)
+    return (terms * _LAPLACE_SIGN).sum(axis=-1) % p
 
 
 def _rank_mod_p(M: np.ndarray, p: int) -> int:
@@ -565,6 +576,23 @@ def _rank_mod_p(M: np.ndarray, p: int) -> int:
     return r
 
 
+def _field_jacobian(g: ViewingGraph, prime: int, rng: np.random.Generator) -> np.ndarray:
+    """Dense int64 augmented Jacobian over GF(prime) at uniformly random
+    field cameras, redrawn while some edge's fundamental matrix vanishes."""
+    n = g.node_count
+    ei, ej = np.array(g.edges).T
+    for _ in range(16):
+        cams = rng.integers(0, prime, size=(n, 3, 4), dtype=np.int64)
+        Pi, Pj = cams[ei], cams[ej]
+        F = _fundamental_minors_mod(Pi, Pj, prime)
+        if F.any(axis=(1, 2)).all():
+            coo, _ = _jacobian_coo(n, ei, ej, *_edge_blocks(Pi, Pj, F, prime), min(g.edges))
+            return coo.toarray()
+    raise DegenerateConfigurationError(
+        "kept drawing zero fundamental matrices over the field"
+    )
+
+
 def finite_field_rank(
     g: ViewingGraph, prime: int = DEFAULT_PRIME, seed: int = 0
 ) -> int:
@@ -576,47 +604,7 @@ def finite_field_rank(
         raise ValueError("prime must exceed 2^20")
     if g.edge_count == 0:
         raise ValueError("graph has no edges")
-    n, m = g.node_count, g.edge_count
-    rng = np.random.default_rng(seed)
-    C_INT = np.rint(vech_sym_operator(4)).astype(np.int64)  # entries 0/1/2
-    I4 = np.eye(4, dtype=np.int64)
-    for _ in range(16):
-        cams = rng.integers(0, prime, size=(n, 3, 4), dtype=np.int64)
-        cam_lists = [[[int(x) for x in row] for row in cam] for cam in cams]
-        fmods = []
-        ok = True
-        for i, j in g.edges:
-            F = _fundamental_mod(cam_lists[i], cam_lists[j], prime)
-            if not any(any(row) for row in F):
-                ok = False
-                break
-            fmods.append(np.array(F, dtype=np.int64))
-        if not ok:
-            continue
-        rows = 10 * m + n + 15
-        J = np.zeros((rows, 12 * n), dtype=np.int64)
-        for k, (i, j) in enumerate(g.edges):
-            F = fmods[k]
-            PjTF = (cams[j].T @ F) % prime       # 4x3, 3-term dots stay < 2^63
-            FPiT = ((F @ cams[i]) % prime).T     # 4x3
-            bi = (C_INT @ np.kron(I4, PjTF)) % prime
-            bj = (C_INT @ np.kron(I4, FPiT)) % prime
-            J[10 * k : 10 * k + 10, 12 * i : 12 * i + 12] = bi
-            J[10 * k : 10 * k + 10, 12 * j : 12 * j + 12] = bj
-        a, b = min(g.edges)
-        r0 = 10 * m
-        for t in range(12):
-            J[r0 + t, 12 * a + t] = 1
-        for c in range(4):
-            J[r0 + 12 + c, 12 * b + 3 * c] = 1
-        r2 = r0 + 16
-        others = [v for v in range(n) if v != a]
-        for t, v in enumerate(others):
-            J[r2 + t, 12 * v : 12 * v + 12] = 1
-        return _rank_mod_p(J, prime)
-    raise DegenerateConfigurationError(
-        "kept drawing zero fundamental matrices over the field"
-    )
+    return _rank_mod_p(_field_jacobian(g, prime, np.random.default_rng(seed)), prime)
 
 
 def matrix_dims(g: ViewingGraph) -> dict[str, float | int]:

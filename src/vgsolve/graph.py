@@ -167,6 +167,21 @@ class NecessaryConditionResult:
     articulation_points: tuple[int, ...]
 
 
+def _piece_roots(n: int, edges) -> list[int]:
+    """Union-find root of every node; equal exactly within a connected piece."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    return [find(v) for v in range(n)]
+
+
 def _dfs_articulation(g: ViewingGraph) -> tuple[int, list[int]]:
     """Iterative low-link DFS; returns (#components, articulation points)."""
     n = g.node_count

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +26,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .engine import DEFAULT_TOLERANCE, finite_solvability, maximal_components
-from .graph import ViewingGraph, minimal_edge_count, necessary_conditions
+from .graph import ViewingGraph, _piece_roots, minimal_edge_count, necessary_conditions
 
 __all__ = [
     "MiningResult",
@@ -321,6 +322,17 @@ def enumerate_candidates(n: int):
         yield g
 
 
+def _map_tasks(fn, tasks: list, threads: int) -> list:
+    """``[fn(t) for t in tasks]`` on at most ``threads`` workers, cores or tasks."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _candidate_seeds(code_int: int, count: int) -> list[int]:
     payload = code_int.to_bytes(max(1, (code_int.bit_length() + 7) // 8), "big")
     digest = hashlib.blake2b(payload, digest_size=8).digest()
@@ -365,11 +377,7 @@ def mine_minimal(
         seeds = _candidate_seeds(canonical_form(g), seeds_per_candidate)
         return finite_solvability(g, seeds=seeds, tolerance=tolerance).finite_solvable
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(check, cands))
-    else:
-        flags = [check(g) for g in cands]
+    flags = _map_tasks(check, cands, threads)
     witnesses = tuple(g for g, ok in zip(cands, flags) if ok)
     return MiningResult(
         n=n,
@@ -408,22 +416,6 @@ class SweepResult:
         }
 
 
-def _is_connected_edges(n: int, edges) -> bool:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return len({find(v) for v in range(n)}) == 1
-
-
 def sample_graph(n: int, m: int, rng: np.random.Generator) -> ViewingGraph:
     """Uniform m-edge graph on n nodes, redrawn until connected.
 
@@ -438,7 +430,7 @@ def sample_graph(n: int, m: int, rng: np.random.Generator) -> ViewingGraph:
     for _ in range(_CONNECTIVITY_RETRIES):
         idx = rng.choice(len(all_pairs), size=m, replace=False)
         edges = tuple(all_pairs[int(k)] for k in idx)
-        if not connectable or _is_connected_edges(n, edges):
+        if not connectable or len(set(_piece_roots(n, edges))) == 1:
             return ViewingGraph(n, edges)
     raise RuntimeError(
         f"no connected sample with {m} edges on {n} nodes after "
@@ -479,11 +471,7 @@ def density_sweep(
         comps = maximal_components(g, seeds=job_seeds[:1], tolerance=tolerance)
         return False, len(comps.components)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+    results = _map_tasks(run, jobs, threads)
     fin = sum(1 for ok, _ in results if ok)
     counts = [c for _, c in results]
     return SweepResult(

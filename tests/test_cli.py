@@ -142,6 +142,14 @@ def test_sweep_errors(capsys):
     assert main(["sweep", "10", "0", "5"]) == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+def test_threads_below_one_rejected(threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", threads, "mine", "5"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_dims_text(square_file, capsys):
     assert main(["dims", square_file]) == 0
     out = capsys.readouterr().out

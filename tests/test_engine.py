@@ -6,7 +6,10 @@ import scipy.io
 import scipy.sparse as sp
 
 from vgsolve.engine import (
+    DEFAULT_PRIME,
     JacobianSystem,
+    _field_jacobian,
+    _fundamental_minors_mod,
     assemble_jacobian,
     derive_seeds,
     export_matrix_market,
@@ -17,7 +20,11 @@ from vgsolve.engine import (
     maximal_components,
     null_space_basis,
 )
-from vgsolve.geometry import fundamental_assignment, random_generic_configuration
+from vgsolve.geometry import (
+    _fundamental_minors,
+    fundamental_assignment,
+    random_generic_configuration,
+)
 from vgsolve.graph import ViewingGraph, necessary_conditions
 from vgsolve.mining import sample_graph
 
@@ -155,6 +162,13 @@ def test_report_fields_and_json():
     assert payload["tolerance"] == rep.tolerance
 
 
+def test_report_sigmas_come_from_first_agreeing_seed():
+    rep = finite_solvability(TRIANGLE, seeds=[4, 5, 6])
+    assert rep.agreement == (True, True, True)
+    _, smin, smax = is_full_column_rank(build_system(TRIANGLE, seed=4))
+    assert (rep.sigma_min, rep.sigma_max) == (smin, smax)
+
+
 def test_rank_reported_for_deficient_graph():
     rep = finite_solvability(SQUARE)
     # 11n - 15 = 29; the 4-cycle has a one-dimensional kernel
@@ -261,6 +275,32 @@ def test_partition_properties_random():
         done += 1
 
 
+def trajectory(n, k, rng):
+    """Cameras along a path linked to their k nearest successors, minus every
+    link across the middle camera: two solvable halves sharing one camera.
+    Labels and edge order are shuffled."""
+    split = n // 2
+    base = [(i, j) for i in range(n) for j in range(i + 1, min(n, i + k + 1))
+            if not i < split < j]
+    perm = rng.permutation(n)
+    edges = [(int(perm[base[t][0]]), int(perm[base[t][1]])) for t in rng.permutation(len(base))]
+    return ViewingGraph(n, tuple(edges)), perm
+
+
+def test_components_on_gram_kernel_path():
+    # 19215 x 2400 takes the J^T J kernel branch.  Here sigma_next/sigma_max
+    # is 2.3e-6, so unless the kernel is split from the near-kernel its
+    # vanishing blocks read about 1e-6, at NODE_BLOCK_REL_TOL.
+    g, perm = trajectory(200, 10, np.random.default_rng(293663143))
+    part = maximal_components(g)
+    assert len(part.components) == 2
+    assert -1 not in part.assignment
+    halves = sorted(c.nodes for c in part.components)
+    assert halves == sorted(
+        (tuple(sorted(int(v) for v in perm[:101])), tuple(sorted(int(v) for v in perm[100:])))
+    )
+
+
 def test_component_partition_json_roundtrip():
     part = maximal_components(BOWTIE)
     payload = json.loads(part.to_json())
@@ -288,6 +328,25 @@ def test_finite_field_agrees_with_float_on_small_batch():
         ff_full = finite_field_rank(g, seed=trial) == 12 * g.node_count
         fp_full = finite_solvability(g, seeds=[trial, trial + 1, trial + 2]).finite_solvable
         assert ff_full == fp_full
+
+
+def test_field_fundamentals_match_float_minors():
+    # small integer cameras: the float minors are exact integers
+    rng = np.random.default_rng(8)
+    Pi = rng.integers(-3, 4, size=(200, 3, 4))
+    Pj = rng.integers(-3, 4, size=(200, 3, 4))
+    exact = np.rint(_fundamental_minors(Pi, Pj)).astype(np.int64) % DEFAULT_PRIME
+    field = _fundamental_minors_mod(Pi % DEFAULT_PRIME, Pj % DEFAULT_PRIME, DEFAULT_PRIME)
+    assert np.array_equal(field, exact)
+
+
+@pytest.mark.parametrize("g", [TRIANGLE, SQUARE, BOWTIE, sample_graph(9, 20, np.random.default_rng(9))])
+def test_field_jacobian_has_float_layout(g):
+    field = _field_jacobian(g, DEFAULT_PRIME, np.random.default_rng(10))
+    dense = build_system(g).matrix.toarray()
+    assert field.shape == (10 * g.edge_count + g.node_count + 15, 12 * g.node_count)
+    assert field.dtype == np.int64 and field.min() >= 0 and field.max() < DEFAULT_PRIME
+    assert np.array_equal(field != 0, dense != 0)
 
 
 def test_matrix_dims_examples():

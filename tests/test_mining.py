@@ -145,6 +145,24 @@ def test_sweep_deterministic_and_threaded():
     assert c == a
 
 
+def test_huge_thread_count_capped_by_tasks(monkeypatch):
+    import vgsolve.mining as mining
+
+    pools = []
+
+    class RecordingPool(mining.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(mining, "ThreadPoolExecutor", RecordingPool)
+    serial = density_sweep(10, 40.0, 3, seed=7, threads=1)
+    assert density_sweep(10, 40.0, 3, seed=7, threads=10**9) == serial
+    assert all(w <= 3 for w in pools)
+    with pytest.raises(ValueError):
+        density_sweep(10, 40.0, 3, seed=7, threads=0)
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         density_sweep(10, 0.0, 5, seed=0)
