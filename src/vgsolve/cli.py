@@ -37,14 +37,6 @@ EXIT_ERROR = 2
 _THREADS_ENV = "VGSOLVE_THREADS"
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(_THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _positive_int(raw: str) -> int:
     value = int(raw)  # argparse reports a ValueError as an invalid value
     if value < 1:
@@ -80,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (csv only for mine/sweep)",
     )
     parser.add_argument(
-        "--threads", type=_positive_int, default=_default_threads(),
+        # a string default goes through ``type`` too, so the variable is
+        # validated exactly like the flag
+        "--threads", type=_positive_int, default=os.environ.get(_THREADS_ENV, "1"),
         help=f"worker threads for mine/sweep (default ${_THREADS_ENV} or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -72,10 +72,19 @@ NODE_BLOCK_REL_TOL = 1e-6  # a 12-row kernel block below this (relative) is "zer
 _RESIDUAL_CHECK_TOL = 1e-8
 _DENSE_SVD_MAX_ENTRIES = 40_000_000
 _DENSE_EIG_MAX_COLS = 8_000
+# block inverse iteration on the Cholesky factor of J^T J (large systems)
+_GRAM_SEED = 0  # start vectors come from a fixed seed, never global RNG state
+_GRAM_BLOCK = 8  # start block width; doubled while the block comes back full
+_GRAM_MAX_STEPS = 50  # iteration steps per block width before giving up
+_RITZ_WATCH = 1e-6  # Ritz values below this share of sigma_max must settle
+_RITZ_GUARD = 1e-3  # a kernel block grows until it holds a Ritz value above this
+_RITZ_SETTLED = 1e-10  # relative change per step that counts as settled
+_RITZ_FLOOR = 64 * np.finfo(float).eps  # change (share of sigma_max) at rounding level
 
 
 class RankComputationError(RuntimeError):
-    """The iterative eigensolver failed on a system too large for the dense path."""
+    """A rank or kernel computation on a system too large for the dense SVD
+    failed: a factorization broke down or an iteration hit its step cap."""
 
 
 def derive_seeds(master: int = DEFAULT_MASTER_SEED, count: int = DEFAULT_SEED_COUNT) -> tuple[int, ...]:
@@ -247,29 +256,100 @@ def export_matrix_market(system: JacobianSystem, path: str) -> None:
     scipy.io.mmwrite(path, system.matrix.tocoo())
 
 
-def _sigma_extremes(J: sp.csr_matrix) -> tuple[float, float]:
+def _gram_sigma_max(JtJ: sp.csc_matrix) -> float:
+    """sqrt of the largest eigenvalue of J^T J.  The start vector is fixed,
+    so repeated calls return the same bits."""
+    v0 = np.random.default_rng(_GRAM_SEED).standard_normal(JtJ.shape[0])
+    try:
+        lmax = float(scipy.sparse.linalg.eigsh(
+            JtJ, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+    except scipy.sparse.linalg.ArpackError as exc:  # pragma: no cover
+        raise RankComputationError(f"largest-eigenvalue iteration failed: {exc}") from exc
+    return float(np.sqrt(max(lmax, 0.0)))
+
+
+def _dense_gram(J: sp.csr_matrix) -> tuple[np.ndarray, float]:
+    """J^T J as a dense Fortran-ordered array, ready to be factored in
+    place, and sigma_max.  The sparse product is freed on return."""
+    JtJ = (J.T @ J).tocsc()
+    return JtJ.toarray(order="F"), _gram_sigma_max(JtJ)
+
+
+def _low_ritz_pairs(
+    J: sp.csr_matrix, gram: np.ndarray, smax: float, tolerance: float, kernel: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values (ascending) and orthonormal Ritz vectors of J at the low
+    end of its spectrum, from one Cholesky factor of the dense J^T J
+    ``gram``, which is overwritten.
+
+    ``gram + delta*I`` with delta at rounding level is factored once.  Block
+    inverse iteration from a fixed-seed start block runs until the smallest
+    Ritz value and every one below _RITZ_WATCH * smax have settled; each
+    step ends with the SVD of J on the block (Rayleigh-Ritz), which splits
+    directions that the squared spectrum of J^T J cannot.  The block
+    doubles until its largest Ritz value passes a reach: _RITZ_WATCH * smax,
+    below which the shifted iteration no longer tells directions apart, or
+    for the kernel _RITZ_GUARD * smax, since a kernel vector keeps about
+    eps / (sigma / smax)^2 of every direction outside the block.  For the
+    verdict alone the smallest Ritz value bounds sigma_min from above, so a
+    block that already shows a deficient value is enough.
+    """
+    rows, cols = J.shape
+    gram[np.diag_indices(cols)] += cols * np.finfo(float).eps * smax**2
+    try:
+        factor = scipy.linalg.cho_factor(gram, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise RankComputationError(
+            f"Cholesky factorization of J^T J failed on a {rows}x{cols} system: {exc}"
+        ) from exc
+    rng = np.random.default_rng(_GRAM_SEED)
+    V = rng.standard_normal((cols, min(_GRAM_BLOCK, cols)))
+    while True:
+        prev = None
+        for _ in range(_GRAM_MAX_STEPS):
+            Q = np.linalg.qr(scipy.linalg.cho_solve(factor, V, check_finite=False)).Q
+            # J Q = Q' R, so the SVD of the small R gives the Ritz pairs
+            R = np.linalg.qr(J @ Q, mode="r")
+            if R.shape[0] < R.shape[1]:
+                R = np.vstack([R, np.zeros((R.shape[1] - R.shape[0], R.shape[1]))])
+            _, s, Wt = np.linalg.svd(R)
+            s, V = s[::-1], Q @ Wt[::-1].T
+            watched = s <= _RITZ_WATCH * smax
+            watched[0] = True
+            if prev is not None and np.all(
+                np.abs(s - prev)[watched] <= _RITZ_SETTLED * s[watched] + _RITZ_FLOOR * smax
+            ):
+                break
+            prev = s
+        else:
+            raise RankComputationError(
+                f"block inverse iteration did not settle in {_GRAM_MAX_STEPS} steps "
+                f"on a {rows}x{cols} system"
+            )
+        reach = (_RITZ_GUARD if kernel else _RITZ_WATCH) * smax
+        if s[-1] > reach or V.shape[1] == cols or (not kernel and s[0] <= tolerance * smax):
+            return s, V
+        width = min(2 * V.shape[1], cols)
+        V = np.hstack([V, rng.standard_normal((cols, width - V.shape[1]))])
+
+
+def _sigma_extremes(J: sp.csr_matrix, tolerance: float) -> tuple[float, float]:
     """Smallest and largest singular values of J, column-rank flavored:
-    for a matrix with fewer rows than columns the smallest value is 0."""
+    on the dense path a matrix with fewer rows than columns reports 0 as
+    the smallest value.  ``tolerance`` only lets the large-system iteration
+    stop early once its block shows a deficient value."""
     rows, cols = J.shape
     if rows * cols <= _DENSE_SVD_MAX_ENTRIES:
         s = np.linalg.svd(J.toarray(), compute_uv=False)
         smax = float(s[0]) if s.size else 0.0
         smin = float(s[-1]) if rows >= cols else 0.0
         return smin, smax
-    JtJ = (J.T @ J).tocsc()
-    try:
-        lmax = float(
-            scipy.sparse.linalg.eigsh(JtJ, k=1, which="LA", return_eigenvectors=False)[0]
-        )
-    except scipy.sparse.linalg.ArpackError as exc:  # pragma: no cover
-        raise RankComputationError(f"largest-eigenvalue iteration failed: {exc}") from exc
-    smax = float(np.sqrt(max(lmax, 0.0)))
     if cols <= _DENSE_EIG_MAX_COLS:
-        _, v = scipy.linalg.eigh(JtJ.toarray(), subset_by_index=[0, 0])
-        # the eigenvector direction is accurate even when the eigenvalue
-        # itself drowns in squared-condition rounding; |J v| recovers sigma
-        smin = float(np.linalg.norm(J @ v[:, 0]))
-        return smin, smax
+        gram, smax = _dense_gram(J)
+        s, _ = _low_ritz_pairs(J, gram, smax, tolerance, kernel=False)
+        return float(s[0]), smax
+    JtJ = (J.T @ J).tocsc()
+    smax = _gram_sigma_max(JtJ)
     try:
         w, v = scipy.sparse.linalg.eigsh(JtJ, k=1, which="SA", maxiter=50 * JtJ.shape[0])
     except (scipy.sparse.linalg.ArpackError, scipy.sparse.linalg.ArpackNoConvergence) as exc:
@@ -285,14 +365,15 @@ def is_full_column_rank(
 ) -> tuple[bool, float, float]:
     """Test sigma_min(J) > tolerance * sigma_max(J).
 
-    Uses a dense SVD for small systems and the smallest eigenpair of J^T J
-    (with an |J v| refinement) for large sparse ones.  A system with fewer
-    rows than columns can never have full column rank and reports
-    sigma_min = 0.
+    Uses a dense SVD for small systems.  Large sparse ones with at most
+    8000 columns factor J^T J once (Cholesky) and take sigma_min as the
+    smallest Ritz value of block inverse iteration with a Rayleigh-Ritz
+    step on J.  A system with fewer rows than columns can never have full
+    column rank; the dense path reports sigma_min = 0 for it.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    smin, smax = _sigma_extremes(system.matrix)
+    smin, smax = _sigma_extremes(system.matrix, tolerance)
     full = smax > 0 and smin > tolerance * smax
     return bool(full), smin, smax
 
@@ -303,7 +384,11 @@ def null_space_basis(
     """Orthonormal basis of the numerical kernel of J (12n x k).
 
     Kernel directions are right singular vectors with sigma <= tolerance *
-    sigma_max; a finite-solvable system yields k = 0.
+    sigma_max; a finite-solvable system yields k = 0.  Small systems use a
+    dense SVD; large sparse ones the Ritz vectors of the Cholesky-based
+    block inverse iteration that also serves is_full_column_rank, with the
+    block widened until it holds every direction that iteration cannot
+    resolve.
     """
     J = system.matrix
     rows, cols = J.shape
@@ -316,25 +401,15 @@ def null_space_basis(
         smax = s[0] if s.size else 0.0
         keep = int(np.sum(s > tolerance * smax)) if smax > 0 else 0
         return Vt[keep:].T.copy()
-    JtJ = (J.T @ J).tocsc()
     if cols > _DENSE_EIG_MAX_COLS:
         raise RankComputationError(
             f"kernel computation beyond the dense cap ({cols} columns)"
         )
-    w, V = scipy.linalg.eigh(JtJ.toarray())
-    smax = float(np.sqrt(max(w[-1], 0.0)))
+    gram, smax = _dense_gram(J)
     if smax == 0.0:
-        return V
-    # eigh mixes kernel and near-kernel directions at eps*(smax/snext)^2, enough
-    # to lift a vanishing block over NODE_BLOCK_REL_TOL: split them again by
-    # the SVD of J on every direction below a wide cutoff (Rayleigh-Ritz)
-    cand = V[:, w <= np.sqrt(np.finfo(float).eps) * w[-1]]
-    JC = J @ cand
-    if JC.shape[0] < JC.shape[1]:
-        JC = np.vstack([JC, np.zeros((JC.shape[1] - JC.shape[0], JC.shape[1]))])
-    _, s, Wt = np.linalg.svd(JC, full_matrices=False)
-    keep = int(np.sum(s > tolerance * smax))
-    return cand @ Wt[keep:].T
+        return np.eye(cols)
+    s, V = _low_ritz_pairs(J, gram, smax, tolerance, kernel=True)
+    return V[:, s <= tolerance * smax]
 
 
 @dataclass(frozen=True)

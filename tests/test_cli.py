@@ -150,6 +150,15 @@ def test_threads_below_one_rejected(threads, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3", "abc"])
+def test_threads_env_validated_like_flag(threads, monkeypatch, capsys):
+    monkeypatch.setenv("VGSOLVE_THREADS", threads)
+    with pytest.raises(SystemExit) as exc:
+        main(["mine", "5"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_dims_text(square_file, capsys):
     assert main(["dims", square_file]) == 0
     out = capsys.readouterr().out

@@ -3,13 +3,17 @@ import json
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 import scipy.sparse as sp
 
+from vgsolve import engine
 from vgsolve.engine import (
     DEFAULT_PRIME,
     JacobianSystem,
+    RankComputationError,
     _field_jacobian,
     _fundamental_minors_mod,
+    _low_ritz_pairs,
     assemble_jacobian,
     derive_seeds,
     export_matrix_market,
@@ -141,6 +145,57 @@ def test_wide_system_null_space():
     assert not full and smin == 0.0
     N = null_space_basis(system)
     assert N.shape[1] >= system.cols - system.rows
+
+
+TEN_TRIANGLES = ViewingGraph(
+    30, tuple((3 * t + a, 3 * t + b) for t in range(10) for a, b in ((0, 1), (1, 2), (0, 2)))
+)
+GRAM_PATH_CASES = [
+    TRIANGLE,
+    K4_MINUS_EDGE,
+    sample_graph(12, 30, np.random.default_rng(3)),
+    sample_graph(20, 60, np.random.default_rng(4)),
+    SQUARE,
+    BOWTIE,
+    ViewingGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))),  # wide: 71 x 72
+    TEN_TRIANGLES,  # kernel of 135 directions, far wider than the start block
+]
+
+
+@pytest.mark.parametrize("g", GRAM_PATH_CASES)
+def test_gram_path_agrees_with_dense_svd(g, monkeypatch):
+    system = build_system(g, seed=11)
+    full_ref, smin_ref, smax_ref = is_full_column_rank(system)
+    kernel_ref = null_space_basis(system)
+    # send these small systems down the large-system (Cholesky) branch
+    monkeypatch.setattr(engine, "_DENSE_SVD_MAX_ENTRIES", 0)
+    full, smin, smax = is_full_column_rank(system)
+    kernel = null_space_basis(system)
+    assert full == full_ref
+    assert smax == pytest.approx(smax_ref, rel=1e-12)
+    if full_ref:
+        assert smin == pytest.approx(smin_ref, rel=1e-6)
+    assert kernel.shape == kernel_ref.shape
+    assert np.allclose(kernel.T @ kernel, np.eye(kernel.shape[1]), atol=1e-10)
+    if kernel.shape[1]:
+        assert scipy.linalg.subspace_angles(kernel, kernel_ref).max() <= 1e-8
+
+
+def test_gram_path_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(engine, "_DENSE_SVD_MAX_ENTRIES", 0)
+    monkeypatch.setattr(engine, "_GRAM_MAX_STEPS", 1)
+    system = build_system(SQUARE)
+    with pytest.raises(RankComputationError, match="59x48"):
+        is_full_column_rank(system)
+    with pytest.raises(RankComputationError, match="59x48"):
+        null_space_basis(system)
+
+
+def test_failed_cholesky_raises():
+    J = build_system(TRIANGLE).matrix
+    indefinite = -np.eye(J.shape[1])
+    with pytest.raises(RankComputationError, match="48x36"):
+        _low_ritz_pairs(J, indefinite, 1.0, 1e-8, kernel=False)
 
 
 def test_finite_solvability_verdicts():
@@ -299,6 +354,15 @@ def test_components_on_gram_kernel_path():
     assert halves == sorted(
         (tuple(sorted(int(v) for v in perm[:101])), tuple(sorted(int(v) for v in perm[100:])))
     )
+
+
+def test_gram_path_report_is_deterministic():
+    g, _ = trajectory(200, 10, np.random.default_rng(293663143))
+    first = finite_solvability(g).to_dict()
+    second = finite_solvability(g).to_dict()
+    first.pop("wall_time")
+    second.pop("wall_time")
+    assert first == second
 
 
 def test_component_partition_json_roundtrip():
