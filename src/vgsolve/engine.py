@@ -84,7 +84,8 @@ _RITZ_FLOOR = 64 * np.finfo(float).eps  # change (share of sigma_max) at roundin
 
 class RankComputationError(RuntimeError):
     """A rank or kernel computation on a system too large for the dense SVD
-    failed: a factorization broke down or an iteration hit its step cap."""
+    failed: the system has more columns than the large-system path takes,
+    a factorization broke down or an iteration hit its step cap."""
 
 
 def derive_seeds(master: int = DEFAULT_MASTER_SEED, count: int = DEFAULT_SEED_COUNT) -> tuple[int, ...]:
@@ -256,27 +257,23 @@ def export_matrix_market(system: JacobianSystem, path: str) -> None:
     scipy.io.mmwrite(path, system.matrix.tocoo())
 
 
-def _gram_sigma_max(JtJ: sp.csc_matrix) -> float:
-    """sqrt of the largest eigenvalue of J^T J.  The start vector is fixed,
-    so repeated calls return the same bits."""
+def _dense_gram(J: sp.csr_matrix) -> tuple[np.ndarray, float]:
+    """J^T J as a dense Fortran-ordered array, ready to be factored in
+    place, and sigma_max, the sqrt of its largest eigenvalue.  The Lanczos
+    start vector is fixed, so repeated calls return the same bits.  The
+    sparse product is freed on return."""
+    JtJ = (J.T @ J).tocsc()
     v0 = np.random.default_rng(_GRAM_SEED).standard_normal(JtJ.shape[0])
     try:
         lmax = float(scipy.sparse.linalg.eigsh(
             JtJ, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
     except scipy.sparse.linalg.ArpackError as exc:  # pragma: no cover
         raise RankComputationError(f"largest-eigenvalue iteration failed: {exc}") from exc
-    return float(np.sqrt(max(lmax, 0.0)))
-
-
-def _dense_gram(J: sp.csr_matrix) -> tuple[np.ndarray, float]:
-    """J^T J as a dense Fortran-ordered array, ready to be factored in
-    place, and sigma_max.  The sparse product is freed on return."""
-    JtJ = (J.T @ J).tocsc()
-    return JtJ.toarray(order="F"), _gram_sigma_max(JtJ)
+    return JtJ.toarray(order="F"), float(np.sqrt(max(lmax, 0.0)))
 
 
 def _low_ritz_pairs(
-    J: sp.csr_matrix, gram: np.ndarray, smax: float, tolerance: float, kernel: bool
+    J: sp.csr_matrix, gram: np.ndarray, smax: float, tolerance: float, need: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ritz values (ascending) and orthonormal Ritz vectors of J at the low
     end of its spectrum, from one Cholesky factor of the dense J^T J
@@ -292,7 +289,8 @@ def _low_ritz_pairs(
     for the kernel _RITZ_GUARD * smax, since a kernel vector keeps about
     eps / (sigma / smax)^2 of every direction outside the block.  For the
     verdict alone the smallest Ritz value bounds sigma_min from above, so a
-    block that already shows a deficient value is enough.
+    block that already shows a deficient value is enough; the rank needs
+    every deficient value, so it always grows to the reach.
     """
     rows, cols = J.shape
     gram[np.diag_indices(cols)] += cols * np.finfo(float).eps * smax**2
@@ -326,38 +324,53 @@ def _low_ritz_pairs(
                 f"block inverse iteration did not settle in {_GRAM_MAX_STEPS} steps "
                 f"on a {rows}x{cols} system"
             )
-        reach = (_RITZ_GUARD if kernel else _RITZ_WATCH) * smax
-        if s[-1] > reach or V.shape[1] == cols or (not kernel and s[0] <= tolerance * smax):
+        reach = (_RITZ_GUARD if need == "kernel" else _RITZ_WATCH) * smax
+        if s[-1] > reach or V.shape[1] == cols or (need == "verdict" and s[0] <= tolerance * smax):
             return s, V
         width = min(2 * V.shape[1], cols)
         V = np.hstack([V, rng.standard_normal((cols, width - V.shape[1]))])
 
 
-def _sigma_extremes(J: sp.csr_matrix, tolerance: float) -> tuple[float, float]:
-    """Smallest and largest singular values of J, column-rank flavored:
-    on the dense path a matrix with fewer rows than columns reports 0 as
-    the smallest value.  ``tolerance`` only lets the large-system iteration
-    stop early once its block shows a deficient value."""
+def _low_spectrum(
+    J: sp.csr_matrix, tolerance: float, need: str
+) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """The one size dispatch of every rank and kernel computation: ascending
+    low singular values of J (all of them on the dense path, the resolved
+    Ritz values on the large-system path), sigma_max and, when ``need`` is
+    "kernel", the matching right singular vectors.
+
+    ``need`` says how far the low end must be resolved: "verdict" only
+    decides sigma_min > tolerance * sigma_max, "rank" resolves every value
+    up to the tolerance so that counting them is exact, "kernel" also
+    guards the vectors (see _low_ritz_pairs).  A system with fewer rows
+    than columns reports its cols - rows missing values as exactly 0.
+    """
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
     rows, cols = J.shape
     if rows * cols <= _DENSE_SVD_MAX_ENTRIES:
-        s = np.linalg.svd(J.toarray(), compute_uv=False)
-        smax = float(s[0]) if s.size else 0.0
-        smin = float(s[-1]) if rows >= cols else 0.0
-        return smin, smax
-    if cols <= _DENSE_EIG_MAX_COLS:
+        A = J.toarray()
+        if need != "kernel":
+            s, V = np.linalg.svd(A, compute_uv=False)[::-1], None
+            s = np.concatenate([np.zeros(cols - s.size), s])
+        else:
+            if rows < cols:
+                # pad with zero rows so the SVD exposes the full right basis
+                A = np.vstack([A, np.zeros((cols - rows, cols))])
+            _, s, Vt = np.linalg.svd(A, full_matrices=False)
+            s, V = s[::-1], Vt[::-1].T
+        smax = float(s[-1])
+    elif cols <= _DENSE_EIG_MAX_COLS:
         gram, smax = _dense_gram(J)
-        s, _ = _low_ritz_pairs(J, gram, smax, tolerance, kernel=False)
-        return float(s[0]), smax
-    JtJ = (J.T @ J).tocsc()
-    smax = _gram_sigma_max(JtJ)
-    try:
-        w, v = scipy.sparse.linalg.eigsh(JtJ, k=1, which="SA", maxiter=50 * JtJ.shape[0])
-    except (scipy.sparse.linalg.ArpackError, scipy.sparse.linalg.ArpackNoConvergence) as exc:
+        s, V = _low_ritz_pairs(J, gram, smax, tolerance, need)
+    else:
         raise RankComputationError(
-            f"smallest-eigenvalue iteration failed on a {rows}x{cols} system: {exc}"
-        ) from exc
-    smin = float(np.linalg.norm(J @ v[:, 0]))
-    return smin, smax
+            f"a {rows}x{cols} system is too large: more than {_DENSE_SVD_MAX_ENTRIES} "
+            f"entries for the dense SVD and {_DENSE_EIG_MAX_COLS} columns for J^T J"
+        )
+    if rows < cols:
+        s[: cols - rows] = 0.0
+    return s, smax, V
 
 
 def is_full_column_rank(
@@ -365,50 +378,31 @@ def is_full_column_rank(
 ) -> tuple[bool, float, float]:
     """Test sigma_min(J) > tolerance * sigma_max(J).
 
-    Uses a dense SVD for small systems.  Large sparse ones with at most
-    8000 columns factor J^T J once (Cholesky) and take sigma_min as the
-    smallest Ritz value of block inverse iteration with a Rayleigh-Ritz
-    step on J.  A system with fewer rows than columns can never have full
-    column rank; the dense path reports sigma_min = 0 for it.
+    Uses a dense SVD for systems of at most 40M entries.  Larger ones with
+    at most 8000 columns factor J^T J once (Cholesky) and take sigma_min as
+    the smallest Ritz value of block inverse iteration with a Rayleigh-Ritz
+    step on J; wider ones raise RankComputationError.  A system with fewer
+    rows than columns can never have full column rank and reports
+    sigma_min = 0 on every path.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    smin, smax = _sigma_extremes(system.matrix, tolerance)
-    full = smax > 0 and smin > tolerance * smax
-    return bool(full), smin, smax
+    s, smax, _ = _low_spectrum(system.matrix, tolerance, "verdict")
+    return bool(s[0] > tolerance * smax), float(s[0]), smax
 
 
 def null_space_basis(
     system: JacobianSystem, tolerance: float = DEFAULT_TOLERANCE
 ) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel of J (12n x k).
+    """Orthonormal basis of the numerical kernel of J (12n x k), columns in
+    ascending order of their singular values.
 
     Kernel directions are right singular vectors with sigma <= tolerance *
-    sigma_max; a finite-solvable system yields k = 0.  Small systems use a
-    dense SVD; large sparse ones the Ritz vectors of the Cholesky-based
-    block inverse iteration that also serves is_full_column_rank, with the
+    sigma_max; a finite-solvable system yields k = 0.  Systems of at most
+    40M entries use a dense SVD; larger ones with at most 8000 columns the
+    Ritz vectors of the Cholesky-based block inverse iteration, with the
     block widened until it holds every direction that iteration cannot
-    resolve.
+    resolve; wider ones raise RankComputationError.
     """
-    J = system.matrix
-    rows, cols = J.shape
-    if rows * cols <= _DENSE_SVD_MAX_ENTRIES:
-        A = J.toarray()
-        if rows < cols:
-            # pad with zero rows so the SVD exposes the full right basis
-            A = np.vstack([A, np.zeros((cols - rows, cols))])
-        _, s, Vt = np.linalg.svd(A, full_matrices=False)
-        smax = s[0] if s.size else 0.0
-        keep = int(np.sum(s > tolerance * smax)) if smax > 0 else 0
-        return Vt[keep:].T.copy()
-    if cols > _DENSE_EIG_MAX_COLS:
-        raise RankComputationError(
-            f"kernel computation beyond the dense cap ({cols} columns)"
-        )
-    gram, smax = _dense_gram(J)
-    if smax == 0.0:
-        return np.eye(cols)
-    s, V = _low_ritz_pairs(J, gram, smax, tolerance, kernel=True)
+    s, smax, V = _low_spectrum(system.matrix, tolerance, "kernel")
     return V[:, s <= tolerance * smax]
 
 
@@ -474,20 +468,20 @@ def finite_solvability(
     t0 = time.perf_counter()
     verdicts: list[bool] = []
     sigmas: list[tuple[float, float]] = []
-    deficient: JacobianSystem | None = None
+    nullity: int | None = None
     for seed in seeds:
-        system = _assemble_for_seed(g, seed, None)
-        full, smin, smax = is_full_column_rank(system, tolerance)
+        J = _assemble_for_seed(g, seed, None).matrix
+        # until the first deficient seed, resolve every deficient value so
+        # that this one spectral pass also counts the kernel for rank_jp
+        s, smax, _ = _low_spectrum(J, tolerance, "rank" if nullity is None else "verdict")
+        full = bool(s[0] > tolerance * smax)
         verdicts.append(full)
-        sigmas.append((smin, smax))
-        if not full and deficient is None:
-            deficient = system
+        sigmas.append((float(s[0]), smax))
+        if not full and nullity is None:
+            nullity = int(np.count_nonzero(s <= tolerance * smax))
     majority = sum(verdicts) * 2 > len(verdicts)
     expected = 11 * n - 15
-    if majority:
-        rank_jp = expected
-    else:
-        rank_jp = expected - null_space_basis(deficient, tolerance).shape[1]
+    rank_jp = expected if majority else expected - nullity
     # the representative seed is the first to agree with the verdict
     smin, smax = sigmas[verdicts.index(majority)]
     return SolvabilityReport(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vgsolve import engine
 from vgsolve.cli import main
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
@@ -43,6 +44,15 @@ def test_check_malformed_exit_two(tmp_path, capsys):
 
 def test_check_missing_file_exit_two(capsys):
     assert main(["check", "/nonexistent/graph.txt"]) == 2
+
+
+def test_check_beyond_column_cap_exit_two(square_file, monkeypatch, capsys):
+    # the square's 59 x 48 system stands in for one too large to decide
+    monkeypatch.setattr(engine, "_DENSE_SVD_MAX_ENTRIES", 0)
+    monkeypatch.setattr(engine, "_DENSE_EIG_MAX_COLS", 47)
+    assert main(["check", square_file]) == 2
+    captured = capsys.readouterr()
+    assert "59x48" in captured.err and captured.out == ""
 
 
 def test_check_json_schema(triangle_file, capsys):

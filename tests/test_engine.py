@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vgsolve.engine import (
     DEFAULT_PRIME,
     JacobianSystem,
     RankComputationError,
+    _edge_blocks,
     _field_jacobian,
     _fundamental_minors_mod,
     _low_ritz_pairs,
@@ -26,6 +28,7 @@ from vgsolve.engine import (
 )
 from vgsolve.geometry import (
     _fundamental_minors,
+    compatibility_residual,
     fundamental_assignment,
     random_generic_configuration,
 )
@@ -135,7 +138,16 @@ def test_null_space_square():
     assert np.allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-10)
 
 
-def test_wide_system_null_space():
+@pytest.fixture(params=["dense", "gram"])
+def branch(request, monkeypatch):
+    """Run a test on the dense-SVD path and again on the large-system
+    (Cholesky) path, by lowering the dense size switch to 0."""
+    if request.param == "gram":
+        monkeypatch.setattr(engine, "_DENSE_SVD_MAX_ENTRIES", 0)
+    return request.param
+
+
+def test_wide_system_null_space(branch):
     # a 6-node tree has 71 rows < 72 columns; the kernel basis must still
     # span the missing directions
     tree = ViewingGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)))
@@ -195,7 +207,87 @@ def test_failed_cholesky_raises():
     J = build_system(TRIANGLE).matrix
     indefinite = -np.eye(J.shape[1])
     with pytest.raises(RankComputationError, match="48x36"):
-        _low_ritz_pairs(J, indefinite, 1.0, 1e-8, kernel=False)
+        _low_ritz_pairs(J, indefinite, 1.0, 1e-8, need="verdict")
+
+
+@pytest.mark.parametrize("g,branch", [(SQUARE, "dense"), (TEN_TRIANGLES, "gram")],
+                         indirect=["branch"])
+def test_one_spectral_pass_per_seed(g, branch, monkeypatch):
+    calls = []
+    low_spectrum = engine._low_spectrum
+
+    def counted(J, tolerance, need):
+        calls.append(need)
+        return low_spectrum(J, tolerance, need)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("finite_solvability must not compute a second kernel")
+
+    monkeypatch.setattr(engine, "_low_spectrum", counted)
+    monkeypatch.setattr(engine, "null_space_basis", forbidden)
+    seeds = [4, 5, 6]
+    rep = finite_solvability(g, seeds=seeds)
+    assert not rep.finite_solvable
+    assert calls == ["rank", "verdict", "verdict"]
+    assert rep.rank_jp == finite_field_rank(g, seed=1) - g.node_count - 15
+
+
+def test_rank_jp_matches_field_rank(branch):
+    # rank_jp = rank(J) - n - 15, and the exact rank of J over GF(p) is an
+    # oracle for rank(J) at a generic point
+    rng = np.random.default_rng(12)
+    checked = 0
+    while checked < 20:
+        n = int(rng.integers(5, 16))
+        m = int(rng.integers(n, 2 * n + 1))
+        g = sample_graph(n, m, rng)
+        exact = finite_field_rank(g, seed=checked)
+        if exact == 12 * n:
+            continue
+        rep = finite_solvability(g, seeds=[1, 2, 3])
+        assert not rep.finite_solvable
+        assert rep.rank_jp == exact - n - 15
+        checked += 1
+
+
+def test_beyond_column_cap_raises_named_error(monkeypatch):
+    # SQUARE (59 x 48) stands in for a system too large for both the dense
+    # SVD and the J^T J path; the refusal must come at once, by name
+    monkeypatch.setattr(engine, "_DENSE_SVD_MAX_ENTRIES", 0)
+    monkeypatch.setattr(engine, "_DENSE_EIG_MAX_COLS", 47)
+    system = build_system(SQUARE)
+    for compute in (is_full_column_rank, null_space_basis):
+        t0 = time.perf_counter()
+        with pytest.raises(RankComputationError, match="59x48"):
+            compute(system)
+        assert time.perf_counter() - t0 < 1.0
+    t0 = time.perf_counter()
+    with pytest.raises(RankComputationError, match="59x48"):
+        finite_solvability(SQUARE)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_edge_blocks_match_finite_differences():
+    # the residual is linear in each camera, so central differences are
+    # exact up to rounding at any step
+    rng = np.random.default_rng(14)
+    Pi = rng.uniform(-1, 1, size=(50, 3, 4))
+    Pj = rng.uniform(-1, 1, size=(50, 3, 4))
+    F = _fundamental_minors(Pi, Pj)
+    F /= np.linalg.norm(F, axis=(1, 2), keepdims=True)
+    block_i, block_j = _edge_blocks(Pi, Pj, F)
+    step = 0.5
+    for e in range(50):
+        for r, c in np.ndindex(3, 4):
+            dP = np.zeros((3, 4))
+            dP[r, c] = step
+            col = 3 * c + r  # column-major vec of the 3x4 camera
+            d_i = (compatibility_residual(Pi[e] + dP, Pj[e], F[e])
+                   - compatibility_residual(Pi[e] - dP, Pj[e], F[e])) / (2 * step)
+            d_j = (compatibility_residual(Pi[e], Pj[e] + dP, F[e])
+                   - compatibility_residual(Pi[e], Pj[e] - dP, F[e])) / (2 * step)
+            assert np.allclose(block_i[e, :, col], d_i, rtol=0, atol=1e-13)
+            assert np.allclose(block_j[e, :, col], d_j, rtol=0, atol=1e-13)
 
 
 def test_finite_solvability_verdicts():
