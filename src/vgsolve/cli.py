@@ -19,14 +19,13 @@ from .engine import (
     DEFAULT_MASTER_SEED,
     DEFAULT_SEED_COUNT,
     DEFAULT_TOLERANCE,
-    assemble_jacobian,
+    _assemble_for_seed,
     derive_seeds,
     export_matrix_market,
     finite_solvability,
     matrix_dims,
     maximal_components,
 )
-from .geometry import fundamental_assignment, random_generic_configuration
 from .graph import GraphParseError, GraphValidationError, parse_edge_list, to_edge_list
 from .mining import density_sweep, mine_minimal
 
@@ -126,9 +125,7 @@ def cmd_check(args) -> int:
     seeds = args.seeds or derive_seeds(DEFAULT_MASTER_SEED, DEFAULT_SEED_COUNT)
     report = finite_solvability(g, seeds=seeds, tolerance=args.tolerance)
     if args.export_matrix:
-        config = random_generic_configuration(g, seeds[0])
-        system = assemble_jacobian(g, config, fundamental_assignment(g, config))
-        export_matrix_market(system, args.export_matrix)
+        export_matrix_market(_assemble_for_seed(g, seeds[0], None), args.export_matrix)
     if args.format == "json":
         _emit(_json_dump(report.to_dict()))
     else:

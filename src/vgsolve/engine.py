@@ -37,8 +37,8 @@ from .geometry import (
     CameraConfiguration,
     DegenerateConfigurationError,
     FundamentalAssignment,
-    fundamental_assignment,
-    random_generic_configuration,
+    _fundamental_minors,
+    _generic_draw,
 )
 from .graph import ViewingGraph, _piece_roots
 
@@ -345,8 +345,8 @@ def _low_spectrum(
     guards the vectors (see _low_ritz_pairs).  A system with fewer rows
     than columns reports its cols - rows missing values as exactly 0.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < 1:  # also rejects NaN
+        raise ValueError(f"tolerance must lie in (0, 1), got {tolerance}")
     rows, cols = J.shape
     if rows * cols <= _DENSE_SVD_MAX_ENTRIES:
         A = J.toarray()
@@ -440,9 +440,7 @@ class SolvabilityReport:
 def _assemble_for_seed(
     g: ViewingGraph, seed: int, gauge_edge: tuple[int, int] | None
 ) -> JacobianSystem:
-    config = random_generic_configuration(g, seed)
-    fmats = fundamental_assignment(g, config)
-    return assemble_jacobian(g, config, fmats, gauge_edge)
+    return assemble_jacobian(g, *_generic_draw(g, seed), gauge_edge)
 
 
 def finite_solvability(
@@ -596,31 +594,6 @@ def maximal_components(
 # exact rank over GF(p): an independent cross-check of the floating verdict
 
 
-# column pairs of a 3x4 camera; pair t and pair 5 - t are complementary
-_COL_PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).T
-# Laplace sign of each top-row column pair, times (-1)^(h+k) for entry (h, k)
-_LAPLACE_SIGN = np.array([1, -1, 1, 1, -1, 1]) * (-1) ** np.add.outer(
-    np.arange(3), np.arange(3))[:, :, None]
-
-
-def _fundamental_minors_mod(Pi: np.ndarray, Pj: np.ndarray, p: int) -> np.ndarray:
-    """geometry's unnormalized fundamental matrices over GF(p), batched.
-
-    Each 4x4 minor (P_i without row k over P_j without row h) is expanded
-    along its top two rows into complementary 2x2 minors.  Every product of
-    two residues is reduced at once, so nothing passes 2^63.
-    """
-
-    def minors(P):  # (m, deleted row, column pair)
-        top, bottom = P[:, [1, 0, 0]], P[:, [2, 2, 1]]
-        c1, c2 = _COL_PAIRS
-        return (top[..., c1] * bottom[..., c2] % p - top[..., c2] * bottom[..., c1] % p) % p
-
-    Mi, Mj = minors(Pi), minors(Pj)
-    terms = Mj[:, :, None, ::-1] * Mi[:, None, :, :] % p  # (m, h, k, pair)
-    return (terms * _LAPLACE_SIGN).sum(axis=-1) % p
-
-
 def _rank_mod_p(M: np.ndarray, p: int) -> int:
     """Row-echelon rank over GF(p); M is int64 with entries in [0, p)."""
     M = M % p
@@ -653,7 +626,7 @@ def _field_jacobian(g: ViewingGraph, prime: int, rng: np.random.Generator) -> np
     for _ in range(16):
         cams = rng.integers(0, prime, size=(n, 3, 4), dtype=np.int64)
         Pi, Pj = cams[ei], cams[ej]
-        F = _fundamental_minors_mod(Pi, Pj, prime)
+        F = _fundamental_minors(Pi, Pj, prime)
         if F.any(axis=(1, 2)).all():
             coo, _ = _jacobian_coo(n, ei, ej, *_edge_blocks(Pi, Pj, F, prime), min(g.edges))
             return coo.toarray()

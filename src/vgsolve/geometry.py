@@ -92,23 +92,39 @@ class FundamentalAssignment:
         return self.matrices.shape[0]
 
 
-def _fundamental_minors(Pi: np.ndarray, Pj: np.ndarray) -> np.ndarray:
-    """Unnormalized fundamental matrices for batched camera pairs.
+# column pairs of a 3x4 camera; pair t and pair 5 - t are complementary
+_COL_PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).T
+# Laplace sign of each top-row column pair, times (-1)^(h+k) for entry (h, k)
+_LAPLACE_SIGN = np.array([1, -1, 1, 1, -1, 1]) * (-1) ** np.add.outer(
+    np.arange(3), np.arange(3))[:, :, None]
+
+
+def _fundamental_minors(Pi: np.ndarray, Pj: np.ndarray, prime: int | None = None) -> np.ndarray:
+    """Unnormalized fundamental matrices for batched camera pairs, over the
+    floats or, with ``prime``, over GF(prime).
 
     Pi, Pj have shape (..., 3, 4); the result has shape (..., 3, 3) with
     entry (h, k) equal to (-1)^(h+k) times the determinant of P_i with row k
-    removed stacked over P_j with row h removed.
+    removed stacked over P_j with row h removed.  Each such 4x4 minor is
+    expanded along its top two rows into complementary 2x2 minors.  With
+    ``prime`` the inputs are int64 residues and every product of two
+    residues is reduced at once, so nothing passes 2^63.
     """
-    Pi = np.asarray(Pi, dtype=float)
-    Pj = np.asarray(Pj, dtype=float)
-    out = np.empty(Pi.shape[:-2] + (3, 3))
-    for h in range(3):
-        top_j = np.delete(Pj, h, axis=-2)
-        for k in range(3):
-            top_i = np.delete(Pi, k, axis=-2)
-            stacked = np.concatenate([top_i, top_j], axis=-2)
-            out[..., h, k] = (-1.0) ** (h + k) * np.linalg.det(stacked)
-    return out
+    if prime is None:
+        Pi, Pj = np.asarray(Pi, dtype=float), np.asarray(Pj, dtype=float)
+
+    def reduce(x):
+        return x if prime is None else x % prime
+
+    def minors(P):  # (..., deleted row, column pair)
+        top, bottom = P[..., [1, 0, 0], :], P[..., [2, 2, 1], :]
+        c1, c2 = _COL_PAIRS
+        return reduce(reduce(top[..., c1] * bottom[..., c2])
+                      - reduce(top[..., c2] * bottom[..., c1]))
+
+    Mi, Mj = minors(Pi), minors(Pj)
+    terms = reduce(Mj[..., :, None, ::-1] * Mi[..., None, :, :])  # (..., h, k, pair)
+    return reduce((terms * _LAPLACE_SIGN).sum(axis=-1))
 
 
 def normalize_projective(M: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -176,6 +192,30 @@ def compatibility_residual(P_i: np.ndarray, P_j: np.ndarray, F: np.ndarray) -> n
     return vech(S + S.T, rtol=np.inf)
 
 
+def _generic_draw(
+    g: ViewingGraph, seed: int, retries: int = GENERIC_RETRIES
+) -> tuple[CameraConfiguration, FundamentalAssignment]:
+    """The cameras of random_generic_configuration together with their
+    fundamental matrices on every edge, evaluated once.  A draw is redrawn
+    when a camera is rank-deficient or fundamental_assignment finds
+    coincident centers."""
+    rng = np.random.default_rng(seed)
+    for _ in range(retries):
+        cams = rng.uniform(-1.0, 1.0, size=(g.node_count, 3, 4))
+        cams /= np.linalg.norm(cams, axis=(1, 2))[:, None, None]
+        sv = np.linalg.svd(cams, compute_uv=False)
+        if np.any(sv[:, 2] <= _CAMERA_RANK_REL_TOL * sv[:, 0]):
+            continue
+        config = CameraConfiguration(cams, int(seed))
+        try:
+            return config, fundamental_assignment(g, config)
+        except CoincidentCentersError:
+            continue
+    raise DegenerateConfigurationError(
+        f"no generic configuration after {retries} draws (seed {seed})"
+    )
+
+
 def random_generic_configuration(
     g: ViewingGraph, seed: int, retries: int = GENERIC_RETRIES
 ) -> CameraConfiguration:
@@ -186,22 +226,4 @@ def random_generic_configuration(
     unit Frobenius norm so downstream Jacobians are well-scaled.  The same
     seed always yields the same configuration.
     """
-    rng = np.random.default_rng(seed)
-    n = g.node_count
-    ei = np.array([e[0] for e in g.edges], dtype=int)
-    ej = np.array([e[1] for e in g.edges], dtype=int)
-    for _ in range(retries):
-        cams = rng.uniform(-1.0, 1.0, size=(n, 3, 4))
-        cams /= np.linalg.norm(cams, axis=(1, 2))[:, None, None]
-        sv = np.linalg.svd(cams, compute_uv=False)
-        if np.any(sv[:, 2] <= _CAMERA_RANK_REL_TOL * sv[:, 0]):
-            continue
-        if g.edge_count:
-            F = _fundamental_minors(cams[ei], cams[ej])
-            norms = np.linalg.norm(F, axis=(1, 2))
-            if np.any(norms <= COINCIDENT_CENTERS_REL_TOL):
-                continue
-        return CameraConfiguration(cams, int(seed))
-    raise DegenerateConfigurationError(
-        f"no generic configuration after {retries} draws (seed {seed})"
-    )
+    return _generic_draw(g, seed, retries)[0]

@@ -1,9 +1,15 @@
 import json
 
+import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 from vgsolve import engine
 from vgsolve.cli import main
+from vgsolve.engine import assemble_jacobian
+from vgsolve.geometry import fundamental_assignment, random_generic_configuration
+from vgsolve.graph import parse_edge_list
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
 SQUARE = "0 1\n1 2\n2 3\n3 0\n"
@@ -91,6 +97,26 @@ def test_check_export_matrix(triangle_file, tmp_path, capsys):
     text = out.read_text()
     assert text.startswith("%%MatrixMarket")
     capsys.readouterr()
+    # the first seed's system, as the library assembles it
+    assert main(["--seeds", "5", "check", triangle_file, "--export-matrix", str(out)]) == 0
+    g = parse_edge_list(TRIANGLE)
+    cfg = random_generic_configuration(g, 5)
+    expected = assemble_jacobian(g, cfg, fundamental_assignment(g, cfg)).matrix
+    back = sp.csr_matrix(scipy.io.mmread(str(out)))
+    back.sort_indices()
+    expected.sort_indices()
+    assert back.shape == expected.shape
+    assert np.array_equal(back.indptr, expected.indptr)
+    assert np.array_equal(back.indices, expected.indices)
+    assert np.allclose(back.data, expected.data, rtol=1e-14, atol=0)
+    capsys.readouterr()
+
+
+def test_check_nan_tolerance_exit_two(triangle_file, capsys):
+    assert main(["--tolerance", "nan", "check", triangle_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance" in captured.err
 
 
 def test_components_triangle(triangle_file, capsys):

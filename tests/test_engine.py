@@ -7,14 +7,13 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 
-from vgsolve import engine
+from vgsolve import engine, geometry
 from vgsolve.engine import (
     DEFAULT_PRIME,
     JacobianSystem,
     RankComputationError,
     _edge_blocks,
     _field_jacobian,
-    _fundamental_minors_mod,
     _low_ritz_pairs,
     assemble_jacobian,
     derive_seeds,
@@ -230,6 +229,30 @@ def test_one_spectral_pass_per_seed(g, branch, monkeypatch):
     assert not rep.finite_solvable
     assert calls == ["rank", "verdict", "verdict"]
     assert rep.rank_jp == finite_field_rank(g, seed=1) - g.node_count - 15
+
+
+def test_fundamentals_evaluated_once_per_seed(monkeypatch):
+    calls = []
+    minors = geometry._fundamental_minors
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minors(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_fundamental_minors", counted)
+    finite_solvability(SQUARE, seeds=[1, 2, 3])
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 1.0, 2.0])
+@pytest.mark.parametrize("compute", [
+    lambda tol: finite_solvability(TRIANGLE, seeds=[1], tolerance=tol),
+    lambda tol: maximal_components(TRIANGLE, seeds=[1], tolerance=tol),
+    lambda tol: null_space_basis(build_system(TRIANGLE), tol),
+], ids=["finite_solvability", "maximal_components", "null_space_basis"])
+def test_tolerance_outside_unit_interval_rejected(compute, tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        compute(tolerance)
 
 
 def test_rank_jp_matches_field_rank(branch):
@@ -492,7 +515,7 @@ def test_field_fundamentals_match_float_minors():
     Pi = rng.integers(-3, 4, size=(200, 3, 4))
     Pj = rng.integers(-3, 4, size=(200, 3, 4))
     exact = np.rint(_fundamental_minors(Pi, Pj)).astype(np.int64) % DEFAULT_PRIME
-    field = _fundamental_minors_mod(Pi % DEFAULT_PRIME, Pj % DEFAULT_PRIME, DEFAULT_PRIME)
+    field = _fundamental_minors(Pi % DEFAULT_PRIME, Pj % DEFAULT_PRIME, DEFAULT_PRIME)
     assert np.array_equal(field, exact)
 
 

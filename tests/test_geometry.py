@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from vgsolve import geometry
 from vgsolve.geometry import (
     CoincidentCentersError,
+    DegenerateConfigurationError,
+    _fundamental_minors,
     compatibility_residual,
     fundamental_assignment,
     fundamental_matrix,
@@ -57,6 +60,22 @@ def test_epipolar_identity_many_trials():
         lhs = (B @ X) @ F @ (A @ X)
         scale = np.linalg.norm(B @ X) * np.linalg.norm(A @ X)
         assert abs(lhs) <= 1e-10 * max(scale, 1e-30)
+
+
+def test_minors_match_determinant_definition():
+    # the module docstring's definition, one 4x4 determinant per entry
+    rng = np.random.default_rng(11)
+    Pi = rng.uniform(-1, 1, (250, 3, 4))
+    Pj = rng.uniform(-1, 1, (250, 3, 4))
+    F = _fundamental_minors(Pi, Pj)
+    assert F.shape == (250, 3, 3)
+    for e in range(250):
+        expected = np.empty((3, 3))
+        for h, k in np.ndindex(3, 3):
+            stacked = np.vstack([np.delete(Pi[e], k, axis=0), np.delete(Pj[e], h, axis=0)])
+            expected[h, k] = (-1) ** (h + k) * np.linalg.det(stacked)
+        assert np.linalg.norm(F[e] - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.array_equal(_fundamental_minors(Pi[e], Pj[e]), F[e])
 
 
 def test_fundamental_is_rank_two():
@@ -146,6 +165,39 @@ def test_random_configuration_deterministic():
     assert np.array_equal(a.cameras, b.cameras)
     c = random_generic_configuration(TRIANGLE, seed=100)
     assert not np.array_equal(a.cameras, c.cameras)
+
+
+def test_coincident_draw_is_redrawn(monkeypatch):
+    minors = geometry._fundamental_minors
+    calls = []
+
+    def zeros_first(Pi, Pj, *args, **kwargs):
+        calls.append(len(Pi))
+        if len(calls) == 1:
+            return np.zeros(np.shape(Pi)[:-2] + (3, 3))
+        return minors(Pi, Pj, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_fundamental_minors", zeros_first)
+    cfg = random_generic_configuration(TRIANGLE, 3)
+    rng = np.random.default_rng(3)
+    rng.uniform(-1.0, 1.0, size=(3, 3, 4))
+    second = rng.uniform(-1.0, 1.0, size=(3, 3, 4))
+    second /= np.linalg.norm(second, axis=(1, 2))[:, None, None]
+    assert np.array_equal(cfg.cameras, second)
+    assert len(calls) == 2
+
+
+def test_always_coincident_draws_exhaust_retries(monkeypatch):
+    calls = []
+
+    def zeros(Pi, Pj, *args, **kwargs):
+        calls.append(len(Pi))
+        return np.zeros(np.shape(Pi)[:-2] + (3, 3))
+
+    monkeypatch.setattr(geometry, "_fundamental_minors", zeros)
+    with pytest.raises(DegenerateConfigurationError):
+        random_generic_configuration(TRIANGLE, 3, retries=4)
+    assert len(calls) == 4
 
 
 def test_single_node_configuration():
