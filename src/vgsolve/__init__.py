@@ -9,13 +9,13 @@ experiments.
 
 from .calculus import (
     commutation_matrix,
-    duplication_matrix,
     elimination_matrix,
     residual_jac_cam_i,
     residual_jac_cam_j,
     residual_jac_fmat,
     vec,
     vech,
+    vech_sym_operator,
 )
 from .engine import (
     DEFAULT_PRIME,
@@ -23,6 +23,7 @@ from .engine import (
     Component,
     ComponentPartition,
     JacobianSystem,
+    RankComputationError,
     SolvabilityReport,
     assemble_jacobian,
     derive_seeds,
@@ -42,6 +43,7 @@ from .geometry import (
     compatibility_residual,
     fundamental_assignment,
     fundamental_matrix,
+    normalize_projective,
     random_generic_configuration,
 )
 from .graph import (
@@ -49,7 +51,6 @@ from .graph import (
     GraphValidationError,
     NecessaryConditionResult,
     ViewingGraph,
-    incidence_matrix,
     minimal_edge_count,
     necessary_conditions,
     parse_edge_list,

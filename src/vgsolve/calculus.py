@@ -1,5 +1,5 @@
-"""Matrix-calculus building blocks: vec/vech, commutation, elimination and
-duplication matrices, and the closed-form Jacobian blocks of the
+"""Matrix-calculus building blocks: vec/vech, commutation and elimination
+matrices, and the closed-form Jacobian blocks of the
 camera/fundamental-matrix compatibility residual.
 
 Vectorization is column-major throughout (``vec`` stacks columns), which
@@ -18,7 +18,6 @@ __all__ = [
     "vech",
     "commutation_matrix",
     "elimination_matrix",
-    "duplication_matrix",
     "vech_sym_operator",
     "residual_jac_cam_i",
     "residual_jac_cam_j",
@@ -32,13 +31,9 @@ def vec(m: np.ndarray) -> np.ndarray:
 
 
 def _lower_tri_indices(q: int) -> tuple[np.ndarray, np.ndarray]:
-    # column-major: (0,0),(1,0),...,(q-1,0),(1,1),(2,1),...
-    rows, cols = [], []
-    for c in range(q):
-        for r in range(c, q):
-            rows.append(r)
-            cols.append(c)
-    return np.array(rows), np.array(cols)
+    # column-major (0,0),(1,0),...,(q-1,0),(1,1),...: the upper triangle transposed
+    cols, rows = np.triu_indices(q)
+    return rows, cols
 
 
 def vech(m: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
@@ -81,21 +76,6 @@ def elimination_matrix(q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def duplication_matrix(q: int) -> np.ndarray:
-    """q^2-by-q(q+1)/2 matrix D with ``vec(X) = D @ vech(X)`` for symmetric X.
-
-    Right inverse of the elimination matrix: ``elimination_matrix(q) @ D = I``.
-    """
-    r, c = _lower_tri_indices(q)
-    D = np.zeros((q * q, len(r)))
-    for k in range(len(r)):
-        D[r[k] + q * c[k], k] = 1.0
-        D[c[k] + q * r[k], k] = 1.0
-    D.setflags(write=False)
-    return D
-
-
-@lru_cache(maxsize=None)
 def vech_sym_operator(q: int) -> np.ndarray:
     """Matrix mapping ``vec(S)`` to ``vech(S + S.T)`` for any q-by-q S."""
     L = elimination_matrix(q)
@@ -105,18 +85,30 @@ def vech_sym_operator(q: int) -> np.ndarray:
     return op
 
 
+# the vech(S + S^T) operator reshaped so that C @ kron(I4, A) is one einsum
+_C4 = vech_sym_operator(4).reshape(10, 4, 4)
+
+
+def _sym_camera_blocks(A: np.ndarray) -> np.ndarray:
+    """``vech_sym_operator(4) @ kron(I4, A)`` for a (..., 4, 3) batch of A,
+    shape (..., 10, 12): the derivative of vech(S + S^T) with respect to vec
+    of a camera P when S or S^T is A @ P.  Integer A gives an integer result."""
+    A = np.asarray(A)
+    C4 = _C4.astype(A.dtype, copy=False)  # entries 0, 1, 2
+    out = np.einsum("rab,ebc->erac", C4, A.reshape(-1, 4, 3))
+    return out.reshape(A.shape[:-2] + (10, 12))
+
+
 def residual_jac_cam_j(P_i: np.ndarray, F: np.ndarray) -> np.ndarray:
     """10x12 Jacobian of the compatibility residual w.r.t. vec of the second
     camera of the pair (the one multiplying F transposed in S = Pj^T F Pi)."""
-    A = (np.asarray(F) @ np.asarray(P_i)).T  # 4x3
-    return vech_sym_operator(4) @ np.kron(np.eye(4), A)
+    return _sym_camera_blocks((np.asarray(F, dtype=float) @ np.asarray(P_i)).T)
 
 
 def residual_jac_cam_i(P_j: np.ndarray, F: np.ndarray) -> np.ndarray:
     """10x12 Jacobian of the compatibility residual w.r.t. vec of the first
     camera of the pair."""
-    B = np.asarray(P_j).T @ np.asarray(F)  # 4x3
-    return vech_sym_operator(4) @ np.kron(np.eye(4), B)
+    return _sym_camera_blocks(np.asarray(P_j, dtype=float).T @ np.asarray(F))
 
 
 def residual_jac_fmat(P_i: np.ndarray, P_j: np.ndarray) -> np.ndarray:

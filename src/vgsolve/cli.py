@@ -43,6 +43,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _unit_interval(raw: str) -> float:
+    value = float(raw)
+    if not 0 < value < 1:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
+    return value
+
+
 def _parse_seed_list(raw: str) -> list[int]:
     try:
         seeds = [int(tok) for tok in raw.replace(",", " ").split()]
@@ -59,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-solvability analysis of structure-from-motion viewing graphs",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="relative rank tolerance (default %(default)g)",
+        "--tolerance", type=_unit_interval, default=DEFAULT_TOLERANCE,
+        help="relative rank tolerance in (0, 1) (default %(default)g)",
     )
     parser.add_argument(
         "--seeds", type=_parse_seed_list, default=None, metavar="S1,S2,...",

@@ -20,10 +20,8 @@ reaches rank 11n - 15.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +30,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .calculus import vech_sym_operator
+from .calculus import _sym_camera_blocks
 from .geometry import (
     CameraConfiguration,
     DegenerateConfigurationError,
@@ -46,7 +44,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "DEFAULT_PRIME",
     "RankComputationError",
-    "RowBlock",
     "JacobianSystem",
     "SolvabilityReport",
     "Component",
@@ -88,6 +85,11 @@ class RankComputationError(RuntimeError):
     a factorization broke down or an iteration hit its step cap."""
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0 < tolerance < 1:  # also rejects NaN
+        raise ValueError(f"tolerance must lie in (0, 1), got {tolerance}")
+
+
 def derive_seeds(master: int = DEFAULT_MASTER_SEED, count: int = DEFAULT_SEED_COUNT) -> tuple[int, ...]:
     """Derive a reproducible list of independent RNG seeds from one master seed."""
     if count < 1:
@@ -97,28 +99,10 @@ def derive_seeds(master: int = DEFAULT_MASTER_SEED, count: int = DEFAULT_SEED_CO
 
 
 @dataclass(frozen=True)
-class RowBlock:
-    """Provenance of a contiguous row range of the assembled Jacobian.
-
-    ``kind`` is one of 'edge-constraint', 'gauge-P1', 'gauge-P2-row',
-    'scale'; ``ref`` is the edge index or node index the block came from.
-    """
-
-    kind: str
-    ref: int
-    start: int
-    count: int
-
-
-@dataclass(frozen=True)
 class JacobianSystem:
-    """Sparse augmented Jacobian with its provenance."""
+    """Sparse augmented Jacobian, laid out as in the module docstring."""
 
     matrix: sp.csr_matrix
-    graph: ViewingGraph
-    gauge_edge: tuple[int, int]
-    config_seed: int
-    blocks: tuple[RowBlock, ...]
 
     @property
     def rows(self) -> int:
@@ -129,24 +113,17 @@ class JacobianSystem:
         return self.matrix.shape[1]
 
 
-# the vech(S + S^T) operator reshaped so that C @ kron(I4, A) is one einsum
-_C4 = vech_sym_operator(4).reshape(10, 4, 4)
-
-
 def _edge_blocks(Pi, Pj, F, prime: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(m, 10, 12) derivatives of every edge residual vech(S + S^T),
     S = Pj^T F Pi, with respect to camera i and to camera j.  With ``prime``
     the inputs are int64 residues and the 3-term dot products are reduced
     before they meet the operator, so no sum passes 2^63."""
-    m = len(F)
     PjTF = np.einsum("eka,ekl->eal", Pj, F)                     # (m, 4, 3)
     FPiT = np.einsum("ekl,elb->ekb", F, Pi).transpose(0, 2, 1)  # (m, 4, 3)
-    C4 = _C4 if prime is None else _C4.astype(np.int64)  # entries 0, 1, 2
     if prime is not None:
         PjTF %= prime
         FPiT %= prime
-    block_i = np.einsum("rab,ebc->erac", C4, PjTF).reshape(m, 10, 12)
-    block_j = np.einsum("rab,ebc->erac", C4, FPiT).reshape(m, 10, 12)
+    block_i, block_j = _sym_camera_blocks(PjTF), _sym_camera_blocks(FPiT)
     if prime is not None:
         block_i %= prime
         block_j %= prime
@@ -155,10 +132,9 @@ def _edge_blocks(Pi, Pj, F, prime: int | None = None) -> tuple[np.ndarray, np.nd
 
 def _jacobian_coo(
     n: int, ei, ej, block_i, block_j, gauge_edge: tuple[int, int]
-) -> tuple[sp.coo_matrix, Iterator[RowBlock]]:
+) -> sp.coo_matrix:
     """Lay the edge blocks, gauge rows and scale rows out as the augmented
-    Jacobian of the module docstring, in the blocks' dtype.  The row
-    provenance is lazy, so callers that skip it never walk the edges."""
+    Jacobian of the module docstring, in the blocks' dtype."""
     m = len(ei)
     a, b = gauge_edge
     row_base = (10 * np.arange(m))[:, None, None] + np.arange(10)[None, :, None]
@@ -187,16 +163,10 @@ def _jacobian_coo(
     cols_idx.append(((12 * others)[:, None] + np.arange(12)[None, :]).ravel())
     data.append(np.ones(12 * (n - 1), block_i.dtype))
 
-    coo = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
         shape=(10 * m + n + 15, 12 * n),
     )
-    blocks = itertools.chain(
-        (RowBlock("edge-constraint", k, 10 * k, 10) for k in range(m)),
-        (RowBlock("gauge-P1", a, r0, 12), RowBlock("gauge-P2-row", b, r1, 4)),
-        (RowBlock("scale", int(v), r2 + k, 1) for k, v in enumerate(others)),
-    )
-    return coo, blocks
 
 
 def assemble_jacobian(
@@ -241,15 +211,8 @@ def assemble_jacobian(
             f"(residual {worst:.3e})"
         )
 
-    coo, blocks = _jacobian_coo(n, ei, ej, *_edge_blocks(Pi, Pj, F), (a, b))
-
-    return JacobianSystem(
-        matrix=coo.tocsr(),
-        graph=g,
-        gauge_edge=(a, b),
-        config_seed=config.seed,
-        blocks=tuple(blocks),
-    )
+    coo = _jacobian_coo(n, ei, ej, *_edge_blocks(Pi, Pj, F), (a, b))
+    return JacobianSystem(coo.tocsr())
 
 
 def export_matrix_market(system: JacobianSystem, path: str) -> None:
@@ -345,8 +308,6 @@ def _low_spectrum(
     guards the vectors (see _low_ritz_pairs).  A system with fewer rows
     than columns reports its cols - rows missing values as exactly 0.
     """
-    if not 0 < tolerance < 1:  # also rejects NaN
-        raise ValueError(f"tolerance must lie in (0, 1), got {tolerance}")
     rows, cols = J.shape
     if rows * cols <= _DENSE_SVD_MAX_ENTRIES:
         A = J.toarray()
@@ -385,6 +346,7 @@ def is_full_column_rank(
     rows than columns can never have full column rank and reports
     sigma_min = 0 on every path.
     """
+    _check_tolerance(tolerance)
     s, smax, _ = _low_spectrum(system.matrix, tolerance, "verdict")
     return bool(s[0] > tolerance * smax), float(s[0]), smax
 
@@ -402,6 +364,7 @@ def null_space_basis(
     block widened until it holds every direction that iteration cannot
     resolve; wider ones raise RankComputationError.
     """
+    _check_tolerance(tolerance)
     s, smax, V = _low_spectrum(system.matrix, tolerance, "kernel")
     return V[:, s <= tolerance * smax]
 
@@ -455,6 +418,7 @@ def finite_solvability(
     pieces keep their own projective freedom), so no special casing is
     needed; per-piece structure is available from maximal_components.
     """
+    _check_tolerance(tolerance)
     if seeds is None:
         seeds = derive_seeds()
     seeds = tuple(int(s) for s in seeds)
@@ -535,7 +499,6 @@ def maximal_components(
     g: ViewingGraph,
     seeds: list[int] | tuple[int, ...] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    node_block_tol: float = NODE_BLOCK_REL_TOL,
 ) -> ComponentPartition:
     """Partition the edges into maximal finite-solvable components.
 
@@ -545,6 +508,7 @@ def maximal_components(
     and assign every remaining edge with both endpoints among them.  A
     finite-solvable graph yields a single component holding all edges.
     """
+    _check_tolerance(tolerance)
     master = int(seeds[0]) if seeds else derive_seeds()[0]
     m = g.edge_count
     assignment = [-1] * m
@@ -571,7 +535,7 @@ def maximal_components(
         else:
             blocks = kernel.reshape(len(sub_nodes), 12, -1)
             norms = np.linalg.norm(blocks, axis=(1, 2))
-            zero_local = set(np.nonzero(norms <= node_block_tol * norms.max())[0].tolist())
+            zero_local = set(np.nonzero(norms <= NODE_BLOCK_REL_TOL * norms.max())[0].tolist())
         comp_edges = [
             k
             for k in sub_edge_ids
@@ -628,7 +592,7 @@ def _field_jacobian(g: ViewingGraph, prime: int, rng: np.random.Generator) -> np
         Pi, Pj = cams[ei], cams[ej]
         F = _fundamental_minors(Pi, Pj, prime)
         if F.any(axis=(1, 2)).all():
-            coo, _ = _jacobian_coo(n, ei, ej, *_edge_blocks(Pi, Pj, F, prime), min(g.edges))
+            coo = _jacobian_coo(n, ei, ej, *_edge_blocks(Pi, Pj, F, prime), min(g.edges))
             return coo.toarray()
     raise DegenerateConfigurationError(
         "kept drawing zero fundamental matrices over the field"

@@ -35,6 +35,8 @@ __all__ = [
 # i.e. coincident camera centers.
 COINCIDENT_CENTERS_REL_TOL = 1e-12
 GENERIC_RETRIES = 16
+# the sign of a normalized matrix is fixed by its first entry above this
+_LEAD_ENTRY_TOL = 1e-12
 _CAMERA_RANK_REL_TOL = 1e-8
 
 
@@ -51,10 +53,9 @@ class DegenerateConfigurationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CameraConfiguration:
-    """One 3x4 camera per node, plus the seed that generated them."""
+    """One 3x4 camera per node."""
 
     cameras: np.ndarray  # (n, 3, 4), read-only
-    seed: int
 
     def __post_init__(self):
         cams = np.asarray(self.cameras, dtype=float)
@@ -67,10 +68,6 @@ class CameraConfiguration:
     @property
     def node_count(self) -> int:
         return self.cameras.shape[0]
-
-    def to_lists(self) -> list[list[float]]:
-        """Row-major entry lists, one per camera (debugging aid)."""
-        return [cam.reshape(-1).tolist() for cam in self.cameras]
 
 
 @dataclass(frozen=True)
@@ -127,18 +124,26 @@ def _fundamental_minors(Pi: np.ndarray, Pj: np.ndarray, prime: int | None = None
     return reduce((terms * _LAPLACE_SIGN).sum(axis=-1))
 
 
-def normalize_projective(M: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rescale to unit Frobenius norm with the first nonzero entry (row-major
-    scan) positive, giving a unique representative of the projective class."""
-    M = np.asarray(M, dtype=float)
-    norm = np.linalg.norm(M)
-    if norm == 0.0:
+def normalize_projective(M: np.ndarray) -> np.ndarray:
+    """Rescale each matrix over the last two axes to unit Frobenius norm with
+    its first entry above _LEAD_ENTRY_TOL (row-major scan) positive, giving
+    a unique representative of its projective class."""
+    M = np.array(M, dtype=float)
+    norms = np.linalg.norm(M, axis=(-2, -1))
+    if np.any(norms == 0.0):
         raise ValueError("cannot normalize the zero matrix")
-    out = M / norm
-    flat = out.reshape(-1)
-    nz = np.nonzero(np.abs(flat) > tol)[0]
-    lead = flat[nz[0]] if nz.size else flat[np.argmax(np.abs(flat))]
-    return -out if lead < 0 else out
+    M /= norms[..., None, None]
+    flat = M.reshape(M.shape[:-2] + (-1,))
+    first = np.argmax(np.abs(flat) > _LEAD_ENTRY_TOL, axis=-1)
+    lead = np.take_along_axis(flat, first[..., None], axis=-1)[..., 0]
+    M *= np.where(lead < 0, -1.0, 1.0)[..., None, None]
+    return M
+
+
+def _coincident(F: np.ndarray, Pi: np.ndarray, Pj: np.ndarray) -> np.ndarray:
+    """True for the pairs whose minors vanish relative to their cameras."""
+    scales = np.linalg.norm(Pi, axis=(-2, -1)) * np.linalg.norm(Pj, axis=(-2, -1))
+    return np.linalg.norm(F, axis=(-2, -1)) <= COINCIDENT_CENTERS_REL_TOL * scales
 
 
 def fundamental_matrix(P_i: np.ndarray, P_j: np.ndarray) -> np.ndarray:
@@ -147,11 +152,8 @@ def fundamental_matrix(P_i: np.ndarray, P_j: np.ndarray) -> np.ndarray:
     Raises CoincidentCentersError when the minors all vanish, which happens
     exactly when the cameras share a center.
     """
-    P_i = np.asarray(P_i, dtype=float)
-    P_j = np.asarray(P_j, dtype=float)
     F = _fundamental_minors(P_i, P_j)
-    scale = np.linalg.norm(P_i) * np.linalg.norm(P_j)
-    if np.linalg.norm(F) <= COINCIDENT_CENTERS_REL_TOL * scale:
+    if _coincident(F, P_i, P_j):
         raise CoincidentCentersError("cameras have coincident centers")
     return normalize_projective(F)
 
@@ -162,24 +164,15 @@ def fundamental_assignment(g: ViewingGraph, config: CameraConfiguration) -> Fund
         raise ValueError("configuration size does not match the graph")
     if g.edge_count == 0:
         return FundamentalAssignment(np.empty((0, 3, 3)))
-    cams = config.cameras
-    ei = np.array([e[0] for e in g.edges])
-    ej = np.array([e[1] for e in g.edges])
-    F = _fundamental_minors(cams[ei], cams[ej])
-    norms = np.linalg.norm(F, axis=(1, 2))
-    scales = np.linalg.norm(cams[ei], axis=(1, 2)) * np.linalg.norm(cams[ej], axis=(1, 2))
-    bad = np.nonzero(norms <= COINCIDENT_CENTERS_REL_TOL * scales)[0]
+    ei, ej = np.array(g.edges).T
+    Pi, Pj = config.cameras[ei], config.cameras[ej]
+    F = _fundamental_minors(Pi, Pj)
+    bad = np.nonzero(_coincident(F, Pi, Pj))[0]
     if bad.size:
         raise CoincidentCentersError(
             f"coincident centers on edge {g.edges[int(bad[0])]}"
         )
-    F /= norms[:, None, None]
-    # sign fix: first entry above tolerance (row-major) made positive
-    flat = F.reshape(len(F), 9)
-    first = np.argmax(np.abs(flat) > 1e-12, axis=1)
-    lead = flat[np.arange(len(F)), first]
-    F[lead < 0] *= -1.0
-    return FundamentalAssignment(F)
+    return FundamentalAssignment(normalize_projective(F))
 
 
 def compatibility_residual(P_i: np.ndarray, P_j: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -193,31 +186,31 @@ def compatibility_residual(P_i: np.ndarray, P_j: np.ndarray, F: np.ndarray) -> n
 
 
 def _generic_draw(
-    g: ViewingGraph, seed: int, retries: int = GENERIC_RETRIES
+    g: ViewingGraph, seed: int
 ) -> tuple[CameraConfiguration, FundamentalAssignment]:
     """The cameras of random_generic_configuration together with their
     fundamental matrices on every edge, evaluated once.  A draw is redrawn
     when a camera is rank-deficient or fundamental_assignment finds
     coincident centers."""
     rng = np.random.default_rng(seed)
-    for _ in range(retries):
+    for _ in range(GENERIC_RETRIES):
         cams = rng.uniform(-1.0, 1.0, size=(g.node_count, 3, 4))
         cams /= np.linalg.norm(cams, axis=(1, 2))[:, None, None]
         sv = np.linalg.svd(cams, compute_uv=False)
         if np.any(sv[:, 2] <= _CAMERA_RANK_REL_TOL * sv[:, 0]):
             continue
-        config = CameraConfiguration(cams, int(seed))
+        config = CameraConfiguration(cams)
         try:
             return config, fundamental_assignment(g, config)
         except CoincidentCentersError:
             continue
     raise DegenerateConfigurationError(
-        f"no generic configuration after {retries} draws (seed {seed})"
+        f"no generic configuration after {GENERIC_RETRIES} draws (seed {seed})"
     )
 
 
 def random_generic_configuration(
-    g: ViewingGraph, seed: int, retries: int = GENERIC_RETRIES
+    g: ViewingGraph, seed: int
 ) -> CameraConfiguration:
     """Draw one random camera per node, redrawing until the configuration is
     generic: every camera has rank 3 and no edge pair shares a center.
@@ -226,4 +219,4 @@ def random_generic_configuration(
     unit Frobenius norm so downstream Jacobians are well-scaled.  The same
     seed always yields the same configuration.
     """
-    return _generic_draw(g, seed, retries)[0]
+    return _generic_draw(g, seed)[0]

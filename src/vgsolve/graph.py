@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 __all__ = [
     "GraphParseError",
     "GraphValidationError",
@@ -23,9 +21,10 @@ __all__ = [
     "parse_edge_list",
     "to_edge_list",
     "necessary_conditions",
-    "incidence_matrix",
     "minimal_edge_count",
 ]
+
+_GAPS_SHOWN = 5  # missing node ids quoted in the error message
 
 
 class GraphParseError(ValueError):
@@ -95,9 +94,6 @@ class ViewingGraph:
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: k for k, e in enumerate(self.edges)}
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def permuted(self, perm: list[int] | tuple[int, ...]) -> "ViewingGraph":
         """Relabel nodes: node ``v`` becomes ``perm[v]``."""
         if sorted(perm) != list(range(self.node_count)):
@@ -141,9 +137,14 @@ def parse_edge_list(text: str) -> ViewingGraph:
     if not edges:
         raise GraphParseError("no edges found in input")
     n = max(mentioned) + 1
-    missing = sorted(set(range(n)) - mentioned)
-    if missing:
-        raise GraphValidationError(f"node ids are not contiguous, missing {missing}")
+    if len(mentioned) < n:
+        # the k-th gap lies below len(mentioned) + k, so this scan is O(m)
+        scan = range(min(n, len(mentioned) + _GAPS_SHOWN))
+        gaps = [v for v in scan if v not in mentioned][:_GAPS_SHOWN]
+        raise GraphValidationError(
+            f"node ids are not contiguous: {n - len(mentioned)} of 0..{n - 1} missing, "
+            f"first {gaps}"
+        )
     return ViewingGraph(n, tuple(edges))
 
 
@@ -253,13 +254,3 @@ def necessary_conditions(g: ViewingGraph) -> NecessaryConditionResult:
         edge_bound_ok=edge_bound_ok,
         articulation_points=tuple(aps),
     )
-
-
-def incidence_matrix(g: ViewingGraph) -> np.ndarray:
-    """Signed m-by-n incidence matrix: row for edge (i, j) with i < j holds
-    -1 in column i and +1 in column j."""
-    out = np.zeros((g.edge_count, g.node_count), dtype=np.int8)
-    for k, (i, j) in enumerate(g.edges):
-        out[k, i] = -1
-        out[k, j] = 1
-    return out

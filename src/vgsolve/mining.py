@@ -25,7 +25,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .engine import DEFAULT_TOLERANCE, finite_solvability, maximal_components
+from .engine import DEFAULT_SEED_COUNT, DEFAULT_TOLERANCE, finite_solvability, maximal_components
 from .graph import ViewingGraph, _piece_roots, minimal_edge_count, necessary_conditions
 
 __all__ = [
@@ -363,7 +363,6 @@ class MiningResult:
 def mine_minimal(
     n: int,
     tolerance: float = DEFAULT_TOLERANCE,
-    seeds_per_candidate: int = 5,
     threads: int = 1,
 ) -> MiningResult:
     """Test every enumeration candidate for finite solvability.
@@ -374,7 +373,7 @@ def mine_minimal(
     cands = list(enumerate_candidates(n))
 
     def check(g: ViewingGraph) -> bool:
-        seeds = _candidate_seeds(canonical_form(g), seeds_per_candidate)
+        seeds = _candidate_seeds(canonical_form(g), DEFAULT_SEED_COUNT)
         return finite_solvability(g, seeds=seeds, tolerance=tolerance).finite_solvable
 
     flags = _map_tasks(check, cands, threads)

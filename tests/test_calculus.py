@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from vgsolve.calculus import (
+    _sym_camera_blocks,
     commutation_matrix,
-    duplication_matrix,
     elimination_matrix,
     residual_jac_cam_i,
     residual_jac_cam_j,
@@ -12,6 +12,7 @@ from vgsolve.calculus import (
     vech,
     vech_sym_operator,
 )
+from vgsolve.engine import _edge_blocks
 from vgsolve.geometry import compatibility_residual, fundamental_matrix
 
 
@@ -107,25 +108,41 @@ def test_commutation_kron_swap():
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_elimination_times_duplication_is_identity():
-    for q in (2, 3, 4):
-        k = q * (q + 1) // 2
-        assert np.allclose(elimination_matrix(q) @ duplication_matrix(q), np.eye(k))
-
-
-def test_duplication_rebuilds_symmetric_vec():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(4, 4))
-    X = X + X.T
-    assert np.allclose(duplication_matrix(4) @ vech(X), vec(X), atol=1e-12)
-
-
 def test_sym_operator_matches_s_plus_st():
     rng = np.random.default_rng(5)
     op = vech_sym_operator(4)
     for _ in range(20):
         S = rng.normal(size=(4, 4))
         assert np.allclose(op @ vec(S), vech(S + S.T), atol=1e-12)
+
+
+def test_camera_blocks_match_kron_definition():
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(6, 4, 3))
+    batched = _sym_camera_blocks(A)
+    assert batched.shape == (6, 10, 12)
+    for k in range(6):
+        expected = vech_sym_operator(4) @ np.kron(np.eye(4), A[k])
+        assert np.allclose(batched[k], expected, rtol=0, atol=1e-14)
+        assert np.array_equal(_sym_camera_blocks(A[k]), batched[k])
+    ints = rng.integers(-5, 6, size=(3, 4, 3))
+    assert _sym_camera_blocks(ints).dtype == ints.dtype
+    assert np.array_equal(_sym_camera_blocks(ints), _sym_camera_blocks(ints.astype(float)))
+
+
+def test_pair_jacobians_are_the_assembled_edge_blocks():
+    # the single-pair helpers and the assembler share one formula, so the
+    # blocks criterion 5 checks are the ones every Jacobian is built from;
+    # only the 4x3 products are summed in a different order
+    rng = np.random.default_rng(12)
+    pairs = [random_pair(rng) for _ in range(8)]
+    Pi = np.stack([a for a, _ in pairs])
+    Pj = np.stack([b for _, b in pairs])
+    F = np.stack([fundamental_matrix(a, b) for a, b in pairs])
+    block_i, block_j = _edge_blocks(Pi, Pj, F)
+    for k in range(len(pairs)):
+        assert np.allclose(residual_jac_cam_i(Pj[k], F[k]), block_i[k], rtol=0, atol=1e-14)
+        assert np.allclose(residual_jac_cam_j(Pi[k], F[k]), block_j[k], rtol=0, atol=1e-14)
 
 
 def test_shapes():

@@ -5,7 +5,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from vgsolve import engine
+from vgsolve import engine, geometry
 from vgsolve.cli import main
 from vgsolve.engine import assemble_jacobian
 from vgsolve.geometry import fundamental_assignment, random_generic_configuration
@@ -112,11 +112,33 @@ def test_check_export_matrix(triangle_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_check_nan_tolerance_exit_two(triangle_file, capsys):
-    assert main(["--tolerance", "nan", "check", triangle_file]) == 2
+def _reject_tolerance(tolerance, path, capsys, monkeypatch):
+    # rejected while the arguments are parsed: no graph read, no minors
+    calls = []
+    minors = geometry._fundamental_minors
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minors(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_fundamental_minors", counted)
+    with pytest.raises(SystemExit) as exc:
+        main(["--tolerance", tolerance, "check", path])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "tolerance" in captured.err
+    assert calls == []
+
+
+def test_check_nan_tolerance_exit_two(triangle_file, capsys, monkeypatch):
+    _reject_tolerance("nan", triangle_file, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "1", "2", "0", "-1e-8", "x"])
+def test_check_tolerance_outside_unit_interval_exit_two(tolerance, tmp_path, capsys, monkeypatch):
+    # the graph file does not exist: the flag is refused before it is read
+    _reject_tolerance(tolerance, str(tmp_path / "absent.txt"), capsys, monkeypatch)
 
 
 def test_components_triangle(triangle_file, capsys):

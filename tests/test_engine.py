@@ -111,13 +111,7 @@ def test_duplicated_column_detected():
     system = build_system(TRIANGLE)
     J = system.matrix.toarray()
     J[:, 5] = J[:, 17]
-    corrupted = JacobianSystem(
-        matrix=sp.csr_matrix(J),
-        graph=system.graph,
-        gauge_edge=system.gauge_edge,
-        config_seed=system.config_seed,
-        blocks=system.blocks,
-    )
+    corrupted = JacobianSystem(matrix=sp.csr_matrix(J))
     full, _, _ = is_full_column_rank(corrupted)
     assert not full
 
@@ -248,11 +242,24 @@ def test_fundamentals_evaluated_once_per_seed(monkeypatch):
 @pytest.mark.parametrize("compute", [
     lambda tol: finite_solvability(TRIANGLE, seeds=[1], tolerance=tol),
     lambda tol: maximal_components(TRIANGLE, seeds=[1], tolerance=tol),
-    lambda tol: null_space_basis(build_system(TRIANGLE), tol),
-], ids=["finite_solvability", "maximal_components", "null_space_basis"])
-def test_tolerance_outside_unit_interval_rejected(compute, tolerance):
+    lambda tol, system=build_system(TRIANGLE): null_space_basis(system, tol),
+    lambda tol, system=build_system(TRIANGLE): is_full_column_rank(system, tol),
+], ids=["finite_solvability", "maximal_components", "null_space_basis", "is_full_column_rank"])
+def test_tolerance_outside_unit_interval_rejected(compute, tolerance, monkeypatch):
+    # rejected before any work: no camera draw, no spectrum
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "_fundamental_minors", counted(geometry._fundamental_minors))
+    monkeypatch.setattr(engine, "_low_spectrum", counted(engine._low_spectrum))
     with pytest.raises(ValueError, match="tolerance"):
         compute(tolerance)
+    assert calls == []
 
 
 def test_rank_jp_matches_field_rank(branch):
@@ -566,11 +573,52 @@ def test_derive_seeds_deterministic():
 
 
 def test_provenance_blocks():
+    # each row block of the layout touches exactly the cameras it belongs to
     system = build_system(SQUARE)
-    kinds = [b.kind for b in system.blocks]
-    assert kinds.count("edge-constraint") == 4
-    assert kinds.count("gauge-P1") == 1
-    assert kinds.count("gauge-P2-row") == 1
-    assert kinds.count("scale") == 3
-    total = sum(b.count for b in system.blocks)
-    assert total == system.rows
+    J = system.matrix.toarray()
+    n, m = SQUARE.node_count, SQUARE.edge_count
+    a, b = min(SQUARE.edges)
+
+    def cameras(rows):
+        return {int(c) // 12 for c in np.nonzero(J[rows].any(axis=0))[0]}
+
+    for k, (i, j) in enumerate(SQUARE.edges):
+        assert cameras(slice(10 * k, 10 * k + 10)) == {i, j}
+    gauge = J[10 * m : 10 * m + 16]
+    assert cameras(slice(10 * m, 10 * m + 12)) == {a}
+    assert np.array_equal(gauge[:12, 12 * a : 12 * a + 12], np.eye(12))
+    assert np.array_equal(np.nonzero(gauge[12:])[1], 12 * b + 3 * np.arange(4))
+    scale = J[10 * m + 16 :]
+    others = [v for v in range(n) if v != a]
+    assert scale.shape[0] == len(others) == 3
+    for row, v in zip(scale, others):
+        assert np.array_equal(np.nonzero(row)[0], 12 * v + np.arange(12))
+    assert 10 * m + 16 + len(others) == system.rows
+
+
+def _relabeling_cases():
+    rng = np.random.default_rng(2026)
+    graphs = [SQUARE, BOWTIE]
+    for _ in range(30):
+        n = int(rng.integers(6, 15))
+        density = rng.uniform(0.25, 0.60)
+        graphs.append(sample_graph(n, max(1, round(density * n * (n - 1) / 2)), rng))
+    return [(g, [int(v) for v in rng.permutation(g.node_count)]) for g in graphs]
+
+
+def _component_edge_sets(g, partition, perm):
+    return {
+        frozenset(tuple(sorted((perm[i], perm[j]))) for i, j in (g.edges[k] for k in c.edges))
+        for c in partition.components
+    }
+
+
+@pytest.mark.parametrize("g,perm", _relabeling_cases())
+def test_verdict_and_partition_invariant_under_relabeling(g, perm):
+    h = g.permuted(perm)
+    base, moved = finite_solvability(g), finite_solvability(h)
+    assert moved.finite_solvable == base.finite_solvable
+    assert moved.rank_jp == base.rank_jp
+    identity = list(range(g.node_count))
+    assert _component_edge_sets(h, maximal_components(h), identity) == \
+        _component_edge_sets(g, maximal_components(g), perm)

@@ -195,8 +195,9 @@ def test_always_coincident_draws_exhaust_retries(monkeypatch):
         return np.zeros(np.shape(Pi)[:-2] + (3, 3))
 
     monkeypatch.setattr(geometry, "_fundamental_minors", zeros)
+    monkeypatch.setattr(geometry, "GENERIC_RETRIES", 4)
     with pytest.raises(DegenerateConfigurationError):
-        random_generic_configuration(TRIANGLE, 3, retries=4)
+        random_generic_configuration(TRIANGLE, 3)
     assert len(calls) == 4
 
 
@@ -204,7 +205,6 @@ def test_single_node_configuration():
     g = ViewingGraph(1, ())
     cfg = random_generic_configuration(g, seed=0)
     assert cfg.cameras.shape == (1, 3, 4)
-    assert cfg.to_lists() == [cfg.cameras[0].reshape(-1).tolist()]
 
 
 def test_assignment_matches_pairwise_map():
@@ -222,3 +222,28 @@ def test_normalize_projective():
     assert out[0, 1] > 0  # first nonzero entry made positive
     with pytest.raises(ValueError):
         normalize_projective(np.zeros((2, 2)))
+
+
+def test_normalize_projective_batched_equals_single():
+    rng = np.random.default_rng(13)
+    M = rng.normal(size=(2, 5, 3, 3))
+    M[0, 0, 0, 0] = 0.0  # the sign then comes from the next entry
+    out = normalize_projective(M)
+    assert out.shape == M.shape
+    for idx in np.ndindex(2, 5):
+        single = normalize_projective(M[idx])
+        assert np.array_equal(out[idx], single)
+        unit = M[idx] / np.linalg.norm(M[idx])
+        assert np.allclose(single, unit) or np.allclose(single, -unit)
+        flat = single.reshape(-1)
+        assert flat[np.nonzero(flat)[0][0]] > 0
+    with pytest.raises(ValueError):
+        normalize_projective(np.stack([np.eye(3), np.zeros((3, 3))]))
+
+
+def test_assignment_uses_normalized_minors():
+    cfg = random_generic_configuration(TRIANGLE, seed=7)
+    ei, ej = np.array(TRIANGLE.edges).T
+    minors = _fundamental_minors(cfg.cameras[ei], cfg.cameras[ej])
+    assert np.array_equal(fundamental_assignment(TRIANGLE, cfg).matrices,
+                          normalize_projective(minors))

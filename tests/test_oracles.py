@@ -1,0 +1,106 @@
+"""Property tests against independent oracles: networkx for connectivity and
+isomorphism, and the edge-list format itself for parsing."""
+
+from itertools import combinations
+
+import pytest
+
+from vgsolve.graph import (
+    GraphParseError,
+    GraphValidationError,
+    ViewingGraph,
+    necessary_conditions,
+    parse_edge_list,
+    to_edge_list,
+)
+from vgsolve.mining import canonical_form
+
+nx = pytest.importorskip("networkx")
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given = hypothesis.given
+
+# fixed examples, no example database: the same cases on every run
+SETTINGS = hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+def edge_subsets(n, min_size=0, max_size=None):
+    pairs = list(combinations(range(n), 2))
+    if not pairs:
+        return st.just([])
+    return st.lists(st.sampled_from(pairs), min_size=min_size, max_size=max_size, unique=True)
+
+
+@st.composite
+def graphs(draw, min_nodes=1, max_nodes=9):
+    n = draw(st.integers(min_nodes, max_nodes))
+    return ViewingGraph(n, tuple(draw(edge_subsets(n))))
+
+
+def to_nx(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.node_count))
+    G.add_edges_from(g.edges)
+    return G
+
+
+@SETTINGS
+@given(graphs(min_nodes=2))
+def test_connectivity_matches_networkx(g):
+    # networkx counts a single node as not biconnected but a single edge as
+    # biconnected; from two nodes on the conventions agree
+    res = necessary_conditions(g)
+    G = to_nx(g)
+    assert res.connected == nx.is_connected(G)
+    assert res.biconnected == nx.is_biconnected(G)
+    assert res.articulation_points == tuple(sorted(nx.articulation_points(G)))
+
+
+@SETTINGS
+@given(graphs(), st.data())
+def test_canonical_form_decides_isomorphism(g, data):
+    perm = data.draw(st.permutations(range(g.node_count)))
+    assert canonical_form(g.permuted(perm)) == canonical_form(g)
+    # a second graph on as many nodes and edges: isomorphic or not
+    other = ViewingGraph(g.node_count, tuple(data.draw(edge_subsets(g.node_count, g.edge_count, g.edge_count))))
+    same = canonical_form(other) == canonical_form(g)
+    assert same == nx.is_isomorphic(to_nx(other), to_nx(g))
+
+
+@st.composite
+def edge_list_graphs(draw):
+    """Graphs the edge-list format can hold: at least one edge, and every
+    node on an edge."""
+    n = draw(st.integers(2, 12))
+    edges = draw(edge_subsets(n, min_size=1))
+    used = sorted({v for e in edges for v in e})
+    label = {v: t for t, v in enumerate(used)}
+    return ViewingGraph(len(used), tuple((label[i], label[j]) for i, j in edges))
+
+
+@SETTINGS
+@given(edge_list_graphs())
+def test_edge_list_roundtrip(g):
+    assert parse_edge_list(to_edge_list(g)) == g
+
+
+_TOKENS = st.one_of(
+    st.integers(-(10**13), 10**13).map(str),
+    st.integers(0, 12).map(str),
+    st.text(max_size=4),
+)
+_TEXTS = st.one_of(
+    st.text(),
+    st.lists(st.lists(_TOKENS, max_size=3).map(" ".join), max_size=8).map("\n".join),
+)
+
+
+@SETTINGS
+@given(_TEXTS)
+def test_parser_raises_only_named_errors(text):
+    try:
+        g = parse_edge_list(text)
+    except (GraphParseError, GraphValidationError):
+        return
+    assert g.edge_count >= 1
+    assert set(range(g.node_count)) == {v for e in g.edges for v in e}
