@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,16 +38,22 @@ _THREADS_ENV = "VGSOLVE_THREADS"
 
 
 def _positive_int(raw: str) -> int:
-    value = int(raw)  # argparse reports a ValueError as an invalid value
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {raw!r}")
     return value
 
 
 def _unit_interval(raw: str) -> float:
-    value = float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
     if not 0 < value < 1:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {raw!r}")
     return value
 
 

@@ -3,14 +3,14 @@ randomized density sweeps.
 
 Candidates on n nodes are the biconnected graphs with exactly
 ``minimal_edge_count(n)`` edges, one per isomorphism class.  Scanning all
-labeled edge subsets is hopeless beyond 7 nodes, so candidates are generated
-structurally instead: every biconnected graph that is not a cycle is a
-subdivision of a unique loopless biconnected multigraph with minimum degree
-3 (its topological kernel, obtained by suppressing degree-2 nodes), and the
-kernel has at most 2c vertices when the graph has n + c edges.  We
-enumerate kernels, distribute the spare nodes over their edges, and dedup
-the results by a canonical adjacency code, which also guards against any
-slip in the structural generation.
+labeled edge subsets is hopeless beyond 7 nodes, so candidates are grown by
+ears instead: by Whitney's theorem a graph with at least three nodes is
+biconnected exactly when it is a cycle plus open ears, each ear a path
+whose ends are two distinct nodes already placed and whose inner nodes are
+new.  An ear with t inner nodes adds t nodes and t + 1 edges, so a
+candidate with n + c edges is a cycle plus c ears.  Each round adds every
+possible ear to every graph of the previous round and keeps one graph per
+canonical adjacency code.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -45,255 +44,65 @@ _CONNECTIVITY_RETRIES = 1000
 # canonical labeling
 
 
-def _min_adjacency_code(n: int, weight, wdeg: list[int]) -> tuple[int, ...]:
-    """Lexicographically smallest stacked-column adjacency code over all
-    relabelings that list weighted degrees in non-increasing order.
+def _graph_code(n: int, edges) -> int:
+    """Smallest stacked-column adjacency code over all relabelings that list
+    degrees in non-increasing order, packed into an int.
 
-    The code concatenates, for each position p in order, the weights from
-    the p previously placed nodes to the node placed at p; entry t of the
-    code therefore describes the pair (q, p) with q < p at index
-    binom(p, 2) + q.  Prefix pruning plus skipping interchangeable twins
-    keeps the search small for the sizes used here (n <= 10).
+    The code concatenates, for each position p in order, the adjacency bits
+    from the p previously placed nodes to the node placed at p; bit t
+    (counted from the most significant of the binom(n, 2) bits) therefore
+    describes the pair (q, p) with q < p at t = binom(p, 2) + q.  Prefix
+    pruning plus skipping interchangeable twins keeps the search small for
+    the sizes used here (n <= 10).
     """
-    if n == 1:
-        return ()
-    target = sorted(wdeg, reverse=True)
-    best: list[int] | None = None
-    chosen: list[int] = []
-    used = [False] * n
-    prefix: list[int] = []
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    deg = [a.bit_count() for a in adj]
+    target = sorted(deg, reverse=True)
+    total = n * (n - 1) // 2
+    best: int | None = None
 
-    def rec():
+    def rec(p: int, placed: int, prefix: int, cols: list[int]):
+        # cols[v]: adjacency bits from the p placed nodes to v, in order
         nonlocal best
-        p = len(chosen)
         if p == n:
             if best is None or prefix < best:
-                best = list(prefix)
+                best = prefix
             return
-        cands = [v for v in range(n) if not used[v] and wdeg[v] == target[p]]
-        filtered: list[int] = []
-        for v in cands:
-            twin = False
-            for u in filtered:
-                if all(weight(u, w) == weight(v, w) for w in range(n) if w not in (u, v)):
-                    twin = True
-                    break
-            if not twin:
-                filtered.append(v)
-        scored = sorted(
-            (tuple(weight(chosen[q], v) for q in range(p)), v) for v in filtered
-        )
-        for col, v in scored:
-            prefix.extend(col)
-            if best is not None and prefix > best[: len(prefix)]:
-                if p:
-                    del prefix[-p:]
+        kept: list[int] = []
+        for v in range(n):
+            if placed >> v & 1 or deg[v] != target[p]:
+                continue
+            if all((adj[u] ^ adj[v]) & ~(1 << u | 1 << v) for u in kept):
+                kept.append(v)
+        shift = total - p * (p + 1) // 2
+        for col, v in sorted((cols[v], v) for v in kept):
+            code = prefix << p | col
+            if best is not None and code > best >> shift:
                 break  # siblings are sorted, so they only get larger
-            used[v] = True
-            chosen.append(v)
-            rec()
-            chosen.pop()
-            used[v] = False
-            if p:
-                del prefix[-p:]
+            rec(p + 1, placed | 1 << v, code, [c << 1 | a >> v & 1 for c, a in zip(cols, adj)])
 
-    rec()
+    rec(0, 0, 0, [0] * n)
     assert best is not None
-    return tuple(best)
-
-
-def _graph_code(g: ViewingGraph) -> tuple[int, ...]:
-    adj = [set(nb) for nb in g.adjacency]
-
-    def weight(u: int, v: int) -> int:
-        return 1 if v in adj[u] else 0
-
-    return _min_adjacency_code(g.node_count, weight, list(g.degrees))
+    return best
 
 
 def canonical_form(g: ViewingGraph) -> int:
     """Canonical adjacency bit-string packed into an int; equal exactly for
     isomorphic graphs (given equal node counts)."""
-    code = _graph_code(g)
-    out = 0
-    for bit in code:
-        out = (out << 1) | bit
-    return out
+    return _graph_code(g.node_count, g.edges)
 
 
-def _graph_from_code(n: int, code: tuple[int, ...]) -> ViewingGraph:
-    edges = []
-    t = 0
-    for p in range(n):
-        for q in range(p):
-            if code[t]:
-                edges.append((q, p))
-            t += 1
-    return ViewingGraph(n, tuple(edges))
+def _graph_from_code(n: int, code: int) -> ViewingGraph:
+    pairs = [(q, p) for p in range(n) for q in range(p)]
+    last = len(pairs) - 1
+    return ViewingGraph(n, tuple(e for t, e in enumerate(pairs) if code >> (last - t) & 1))
 
 
 # ---------------------------------------------------------------------------
-# kernel multigraphs and their subdivisions
-
-
-def _kernel_code(nk: int, pairs, mults) -> tuple[int, ...]:
-    lookup = {p: t for t, p in enumerate(pairs)}
-    wdeg = [0] * nk
-    for t, (u, v) in enumerate(pairs):
-        wdeg[u] += mults[t]
-        wdeg[v] += mults[t]
-
-    def weight(u: int, v: int) -> int:
-        if u == v:
-            return 0
-        return mults[lookup[(u, v) if u < v else (v, u)]]
-
-    return _min_adjacency_code(nk, weight, wdeg)
-
-
-@lru_cache(maxsize=None)
-def _multigraph_kernels(c: int) -> tuple[tuple[int, tuple[tuple[tuple[int, int], int], ...]], ...]:
-    """Loopless biconnected multigraphs with minimum degree 3 and v + c
-    edges on v vertices, for v in 2..2c, one per isomorphism class.
-
-    Returned as (vertex_count, ((pair, multiplicity), ...)) tuples.
-    """
-    kernels = []
-    for nk in range(2, 2 * c + 1):
-        mk = nk + c
-        pairs = list(combinations(range(nk), 2))
-        mults = [0] * len(pairs)
-        deg = [0] * nk
-        raw: set[tuple[int, ...]] = set()
-
-        def rec(t: int, remaining: int):
-            if sum(max(0, 3 - d) for d in deg) > 2 * remaining:
-                return
-            if t == len(pairs):
-                if remaining == 0:
-                    raw.add(tuple(mults))
-                return
-            u, v = pairs[t]
-            for k in range(remaining + 1):
-                mults[t] = k
-                deg[u] += k
-                deg[v] += k
-                rec(t + 1, remaining - k)
-                deg[u] -= k
-                deg[v] -= k
-            mults[t] = 0
-
-        rec(0, mk)
-        seen: set[tuple[int, ...]] = set()
-        for mt in sorted(raw):
-            skeleton_edges = tuple(pairs[t] for t in range(len(pairs)) if mt[t])
-            touched = {v for e in skeleton_edges for v in e}
-            if len(touched) < nk:
-                continue
-            skeleton = ViewingGraph(nk, skeleton_edges)
-            if not necessary_conditions(skeleton).biconnected:
-                continue
-            code = _kernel_code(nk, pairs, mt)
-            if code in seen:
-                continue
-            seen.add(code)
-            kernels.append(
-                (nk, tuple((pairs[t], mt[t]) for t in range(len(pairs)) if mt[t]))
-            )
-    return tuple(kernels)
-
-
-def _class_count_multisets(mu: int, total: int):
-    """Non-decreasing count tuples of length mu summing to total, with at
-    most one zero (parallel edges must be subdivided apart to stay simple)."""
-
-    def rec(parts_left: int, remaining: int, minimum: int):
-        if parts_left == 1:
-            if remaining >= minimum:
-                yield (remaining,)
-            return
-        for first in range(minimum, remaining // parts_left + 1):
-            for rest in rec(parts_left - 1, remaining - first, max(first, 1)):
-                yield (first,) + rest
-
-    if mu == 1:
-        if total >= 0:
-            yield (total,)
-        return
-    # at most one zero: first part may be 0, the rest are >= 1
-    yield from rec(mu, total, 1)
-    for rest in rec(mu - 1, total, 1):
-        yield (0,) + rest
-
-
-def _kernel_automorphisms(nk: int, classes) -> list[tuple[int, ...]]:
-    mult = {pair: mu for pair, mu in classes}
-
-    def preserves(perm) -> bool:
-        for (u, v), mu in classes:
-            a, b = perm[u], perm[v]
-            if mult.get((a, b) if a < b else (b, a), 0) != mu:
-                return False
-        return True
-
-    return [perm for perm in permutations(range(nk)) if preserves(perm)]
-
-
-def _subdivisions(nk: int, classes, n_target: int):
-    """All subdivisions of a kernel reaching n_target nodes, up to the
-    kernel's automorphisms; yields per-class count tuples."""
-    spare = n_target - nk
-    pair_list = [pair for pair, _ in classes]
-    auts = _kernel_automorphisms(nk, classes)
-    seen: set[tuple] = set()
-    out = []
-
-    def canonical(assign: tuple) -> tuple:
-        best = None
-        by_pair = dict(zip(pair_list, assign))
-        for perm in auts:
-            mapped = {}
-            for pair, counts in by_pair.items():
-                a, b = perm[pair[0]], perm[pair[1]]
-                mapped[(a, b) if a < b else (b, a)] = counts
-            key = tuple(mapped[p] for p in pair_list)
-            if best is None or key < best:
-                best = key
-        return best
-
-    def rec(idx: int, remaining: int, acc: list):
-        if idx == len(classes):
-            if remaining == 0:
-                key = canonical(tuple(acc))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(tuple(acc))
-            return
-        _, mu = classes[idx]
-        lo = max(0, mu - 1)  # each class needs at least mu - 1 internal nodes
-        for s in range(lo, remaining + 1):
-            for counts in _class_count_multisets(mu, s):
-                acc.append(counts)
-                rec(idx + 1, remaining - s, acc)
-                acc.pop()
-
-    rec(0, spare, [])
-    return out
-
-
-def _build_subdivision(nk: int, classes, assign, n_total: int) -> ViewingGraph:
-    edges = []
-    nxt = nk
-    for (u, v), counts in zip((p for p, _ in classes), assign):
-        for t in counts:
-            if t == 0:
-                edges.append((u, v))
-            else:
-                chain = [u] + list(range(nxt, nxt + t)) + [v]
-                nxt += t
-                edges.extend(zip(chain[:-1], chain[1:]))
-    assert nxt == n_total
-    return ViewingGraph(n_total, tuple(edges))
+# ear decomposition
 
 
 def enumerate_candidates(n: int):
@@ -302,20 +111,26 @@ def enumerate_candidates(n: int):
     if not 3 <= n <= 10:
         raise ValueError("candidate enumeration supports 3 <= n <= 10")
     target = minimal_edge_count(n)
-    if target == n:
-        # a biconnected graph with as many edges as nodes is a cycle
-        yield ViewingGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
-        return
-    c = target - n
-    found: dict[tuple[int, ...], None] = {}
-    for nk, classes in _multigraph_kernels(c):
-        if nk > n:
-            continue
-        for assign in _subdivisions(nk, classes, n):
-            g = _build_subdivision(nk, classes, assign, n)
-            code = _graph_code(g)
-            found.setdefault(code, None)
-    for code in sorted(found):
+    # keyed by (node count, code): codes of different node counts may clash
+    level = {}
+    for k in range(3, n + 1):
+        cycle = tuple((i, (i + 1) % k) for i in range(k))
+        level[k, _graph_code(k, cycle)] = cycle
+    ears = target - n
+    for step in range(ears):
+        grown = {}
+        for (k, _), edges in level.items():
+            present = {frozenset(e) for e in edges}
+            inner = range(n - k, n - k + 1) if step == ears - 1 else range(n - k + 1)
+            for u, v in combinations(range(k), 2):
+                for t in inner:
+                    if t == 0 and frozenset((u, v)) in present:
+                        continue
+                    path = (u, *range(k, k + t), v)
+                    with_ear = edges + tuple(zip(path, path[1:]))
+                    grown.setdefault((k + t, _graph_code(k + t, with_ear)), with_ear)
+        level = grown
+    for code in sorted(code for k, code in level if k == n):
         g = _graph_from_code(n, code)
         checks = necessary_conditions(g)
         assert checks.biconnected and g.edge_count == target

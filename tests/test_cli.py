@@ -208,6 +208,19 @@ def test_threads_below_one_rejected(threads, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,bad", [
+    (["--threads", "two", "mine", "5"], "'two'"),
+    (["--tolerance", "x", "check", "absent.txt"], "'x'"),
+])
+def test_non_numeric_flag_message_is_plain(argv, bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert bad in err
+    assert "_positive_int" not in err and "_unit_interval" not in err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3", "abc"])
 def test_threads_env_validated_like_flag(threads, monkeypatch, capsys):
     monkeypatch.setenv("VGSOLVE_THREADS", threads)

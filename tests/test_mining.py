@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import numpy as np
@@ -50,9 +51,16 @@ def test_canonical_form_separates_nonisomorphic():
     assert canonical_form(square) != canonical_form(diamond)
 
 
-@pytest.mark.parametrize("n,count", [(3, 1), (4, 1), (5, 2), (6, 9), (7, 20)])
+@pytest.mark.parametrize("n,count", [(3, 1), (4, 1), (5, 2), (6, 9), (7, 20), (8, 161), (9, 433)])
 def test_candidate_counts(n, count):
     assert sum(1 for _ in enumerate_candidates(n)) == count
+
+
+def test_largest_enumeration_within_budget():
+    # n = 10 is the largest size the CLI accepts; it must not be a cliff
+    start = time.perf_counter()
+    assert sum(1 for _ in enumerate_candidates(10)) == 5898
+    assert time.perf_counter() - start < 120
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -1,6 +1,8 @@
-"""Property tests against independent oracles: networkx for connectivity and
-isomorphism, and the edge-list format itself for parsing."""
+"""Property tests against independent oracles: networkx for connectivity,
+isomorphism and the atlas of all graphs on up to 7 nodes, and the edge-list
+format itself for parsing."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -9,11 +11,12 @@ from vgsolve.graph import (
     GraphParseError,
     GraphValidationError,
     ViewingGraph,
+    minimal_edge_count,
     necessary_conditions,
     parse_edge_list,
     to_edge_list,
 )
-from vgsolve.mining import canonical_form
+from vgsolve.mining import canonical_form, enumerate_candidates
 
 nx = pytest.importorskip("networkx")
 hypothesis = pytest.importorskip("hypothesis")
@@ -65,6 +68,44 @@ def test_canonical_form_decides_isomorphism(g, data):
     other = ViewingGraph(g.node_count, tuple(data.draw(edge_subsets(g.node_count, g.edge_count, g.edge_count))))
     same = canonical_form(other) == canonical_form(g)
     assert same == nx.is_isomorphic(to_nx(other), to_nx(g))
+
+
+def atlas():
+    """networkx's atlas: one graph per isomorphism class on 0..7 nodes."""
+    return [G for G in nx.graph_atlas_g() if G.number_of_nodes() >= 1]
+
+
+@pytest.mark.parametrize("n,count", [(3, 1), (4, 1), (5, 2), (6, 9), (7, 20)])
+def test_candidates_match_atlas(n, count):
+    # the atlas classes that are candidates, matched one-to-one by networkx
+    # isomorphism alone, without the package's canonical form
+    expected = [
+        G for G in atlas()
+        if G.number_of_nodes() == n
+        and G.number_of_edges() == minimal_edge_count(n)
+        and nx.is_biconnected(G)
+    ]
+    assert len(expected) == count
+    unmatched = [to_nx(g) for g in enumerate_candidates(n)]
+    for G in expected:
+        hits = [H for H in unmatched if nx.is_isomorphic(G, H)]
+        assert len(hits) == 1
+        unmatched.remove(hits[0])
+    assert unmatched == []
+
+
+def test_canonical_form_on_atlas():
+    rng = random.Random(0)
+    seen = set()
+    for G in atlas():
+        g = ViewingGraph(G.number_of_nodes(), tuple(G.edges()))
+        code = canonical_form(g)
+        assert (g.node_count, code) not in seen
+        seen.add((g.node_count, code))
+        perm = list(range(g.node_count))
+        rng.shuffle(perm)
+        assert canonical_form(g.permuted(perm)) == code
+    assert len(seen) == 1252
 
 
 @st.composite
