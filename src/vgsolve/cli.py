@@ -85,9 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (csv only for mine/sweep)",
     )
     parser.add_argument(
-        # a string default goes through ``type`` too, so the variable is
-        # validated exactly like the flag
-        "--threads", type=_positive_int, default=os.environ.get(_THREADS_ENV, "1"),
+        "--threads", type=_positive_int, default=None,
         help=f"worker threads for mine/sweep (default ${_THREADS_ENV} or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -144,12 +142,15 @@ def cmd_check(args) -> int:
         _emit(_json_dump(report.to_dict()))
     else:
         verdict = "finite solvable" if report.finite_solvable else "NOT finite solvable"
+        sigmas = (
+            "n/a (growth certificate)" if report.path == "certificate"
+            else f"{report.sigma_min:.3e} / {report.sigma_max:.3e} (tolerance {report.tolerance:g})"
+        )
         lines = [
             f"graph: {g.node_count} nodes, {g.edge_count} edges",
             f"verdict: {verdict}",
             f"rank: {report.rank_jp} (expected {report.expected_rank})",
-            f"sigma_min/sigma_max: {report.sigma_min:.3e} / {report.sigma_max:.3e}"
-            f" (tolerance {report.tolerance:g})",
+            f"sigma_min/sigma_max: {sigmas}",
             f"seeds: {list(report.seeds)} agreement: {list(report.agreement)}",
             f"wall time: {report.wall_time:.3f}s",
         ]
@@ -244,6 +245,12 @@ def cmd_dims(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads is None:
+        try:
+            args.threads = _positive_int(os.environ.get(_THREADS_ENV, "1"))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"environment variable {_THREADS_ENV} (the default of --threads): "
+                         f"{exc}")
     if args.format == "csv" and args.command not in ("mine", "sweep"):
         print("csv output is only available for mine and sweep", file=sys.stderr)
         return EXIT_ERROR

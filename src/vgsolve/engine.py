@@ -38,7 +38,7 @@ from .geometry import (
     _fundamental_minors,
     _generic_draw,
 )
-from .graph import ViewingGraph, _piece_roots
+from .graph import ViewingGraph, _piece_roots, necessary_conditions
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -371,16 +371,22 @@ def null_space_basis(
 
 @dataclass(frozen=True)
 class SolvabilityReport:
-    """Outcome of the finite-solvability decision for one graph."""
+    """Outcome of the finite-solvability decision for one graph.
+
+    ``path`` says how it was reached: "certificate" (the growth
+    certificate, no camera drawn: no sigmas, no seeds evaluated) or "float"
+    (the rank test at one configuration per seed in ``seeds``).
+    """
 
     finite_solvable: bool
     rank_jp: int
     expected_rank: int
-    sigma_min: float
-    sigma_max: float
+    sigma_min: float | None
+    sigma_max: float | None
     tolerance: float
     seeds: tuple[int, ...]
     agreement: tuple[bool, ...]
+    path: str
     wall_time: float
 
     def to_dict(self) -> dict:
@@ -393,6 +399,7 @@ class SolvabilityReport:
             "tolerance": self.tolerance,
             "seeds": list(self.seeds),
             "agreement": list(self.agreement),
+            "path": self.path,
             "wall_time": self.wall_time,
         }
 
@@ -406,13 +413,68 @@ def _assemble_for_seed(
     return assemble_jacobian(g, *_generic_draw(g, seed), gauge_edge)
 
 
+def _certificate(g: ViewingGraph) -> bool | None:
+    """Decide finite solvability without a Jacobian where that is exact:
+    False when a graph on 3 or more nodes fails a necessary condition, True
+    when the growth closure of some edge covers every node, else None.
+
+    A closure starts from an edge's two cameras, finite solvable with their
+    F (22 - 15 = 7 = dof F), and adds every node with 2 neighbours in the
+    set: the F's inside a solvable set are known, so the node closes a
+    generic triangle with known F's, and the two cameras it shares with the
+    set have a finite projective stabiliser.  The answer depends on neither
+    labels nor edge order.  Closures grow monotonically, so an edge inside
+    an earlier closure is skipped.
+    """
+    n = g.node_count
+    if n >= 3:
+        c = necessary_conditions(g)
+        if not (c.connected and c.biconnected and c.min_degree_ok
+                and c.no_adjacent_degree_two and c.edge_bound_ok):
+            return False
+    adj = g.adjacency
+    inside = [False] * n
+    count = [0] * n  # neighbours in the growing set, for nodes outside it
+    covered = bytearray(g.edge_count)
+    for k, (u, v) in enumerate(g.edges):
+        if covered[k]:
+            continue
+        inside[u] = inside[v] = True
+        members, touched = [u, v], []
+        for x in members:  # members is also the queue: it grows as it is read
+            for y in adj[x]:
+                if not inside[y]:
+                    count[y] += 1
+                    if count[y] == 1:
+                        touched.append(y)
+                    elif count[y] == 2:
+                        inside[y] = True
+                        members.append(y)
+        if len(members) == n:
+            return True
+        if len(members) > 2:  # only an edge in a triangle grows past itself
+            index = g.edge_index
+            for x in members:
+                for y in adj[x]:
+                    if x < y and inside[y]:
+                        covered[index[x, y]] = 1
+        for x in members:
+            inside[x] = False
+        for y in touched:
+            count[y] = 0
+    return None
+
+
 def finite_solvability(
     g: ViewingGraph,
     seeds: list[int] | tuple[int, ...] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> SolvabilityReport:
     """Decide finite solvability by the full-rank test at random generic
-    configurations, one per seed, with a majority vote across seeds.
+    configurations, one per seed, with a majority vote across seeds.  A
+    graph the growth certificate covers is reported solvable without a
+    camera drawn (see _certificate); a necessary-condition failure does not
+    short-cut, since ``rank_jp`` needs the rank test.
 
     Disconnected graphs come out rank-deficient automatically (the extra
     pieces keep their own projective freedom), so no special casing is
@@ -428,6 +490,20 @@ def finite_solvability(
         raise ValueError("graph has no edges")
     n = g.node_count
     t0 = time.perf_counter()
+    expected = 11 * n - 15
+    if _certificate(g):
+        return SolvabilityReport(
+            finite_solvable=True,
+            rank_jp=expected,
+            expected_rank=expected,
+            sigma_min=None,
+            sigma_max=None,
+            tolerance=tolerance,
+            seeds=(),
+            agreement=(),
+            path="certificate",
+            wall_time=time.perf_counter() - t0,
+        )
     verdicts: list[bool] = []
     sigmas: list[tuple[float, float]] = []
     nullity: int | None = None
@@ -442,7 +518,6 @@ def finite_solvability(
         if not full and nullity is None:
             nullity = int(np.count_nonzero(s <= tolerance * smax))
     majority = sum(verdicts) * 2 > len(verdicts)
-    expected = 11 * n - 15
     rank_jp = expected if majority else expected - nullity
     # the representative seed is the first to agree with the verdict
     smin, smax = sigmas[verdicts.index(majority)]
@@ -455,6 +530,7 @@ def finite_solvability(
         tolerance=tolerance,
         seeds=seeds,
         agreement=tuple(verdicts),
+        path="float",
         wall_time=time.perf_counter() - t0,
     )
 
@@ -491,6 +567,30 @@ class ComponentPartition:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def _pendant_fixed(g: ViewingGraph, gauge: tuple[int, int]) -> set[int] | None:
+    """The nodes of a connected, uncertified g that are fixed with the gauge
+    edge, when degree-1 nodes decide them without a kernel; else None.
+
+    A degree-1 node keeps 11 - 7 = 4 degrees of freedom given its one
+    neighbour u, so nothing else is fixed with it: a gauge edge with a
+    degree-1 end fixes only its two ends (the stabiliser of P_u still moves
+    every other camera).  Otherwise the degree-1 nodes are exactly the free
+    ones when the rest of g is growth-certified.
+    """
+    deg = g.degrees
+    if deg[gauge[0]] == 1 or deg[gauge[1]] == 1:
+        return set(gauge)
+    core = [v for v in range(g.node_count) if deg[v] > 1]
+    if len(core) == g.node_count:
+        return None
+    relabel = {v: t for t, v in enumerate(core)}
+    rest = ViewingGraph(
+        len(core),
+        tuple((relabel[i], relabel[j]) for i, j in g.edges if deg[i] > 1 and deg[j] > 1),
+    )
+    return set(core) if _certificate(rest) else None
+
+
 def _iteration_seed(master: int, iteration: int) -> int:
     return int(np.random.SeedSequence((master, iteration)).generate_state(1)[0])
 
@@ -506,7 +606,10 @@ def maximal_components(
     connected piece of the remaining subgraph, compute the kernel of the
     augmented Jacobian, collect the nodes whose 12-row kernel blocks vanish,
     and assign every remaining edge with both endpoints among them.  A
-    finite-solvable graph yields a single component holding all edges.
+    piece the growth certificate covers is assigned whole without a kernel,
+    and so is a piece that only its degree-1 nodes keep from being covered
+    (see _pendant_fixed).  A finite-solvable graph yields a single component
+    holding all edges.
     """
     _check_tolerance(tolerance)
     master = int(seeds[0]) if seeds else derive_seeds()[0]
@@ -528,14 +631,19 @@ def maximal_components(
             tuple((relabel[g.edges[k][0]], relabel[g.edges[k][1]]) for k in sub_edge_ids),
         )
         gauge = (relabel[g.edges[first][0]], relabel[g.edges[first][1]])
-        system = _assemble_for_seed(sub, _iteration_seed(master, iteration), gauge)
-        kernel = null_space_basis(system, tolerance)
-        if kernel.shape[1] == 0:
+        if _certificate(sub):  # finite solvable, so the kernel is empty
             zero_local = set(range(len(sub_nodes)))
         else:
-            blocks = kernel.reshape(len(sub_nodes), 12, -1)
-            norms = np.linalg.norm(blocks, axis=(1, 2))
-            zero_local = set(np.nonzero(norms <= NODE_BLOCK_REL_TOL * norms.max())[0].tolist())
+            zero_local = _pendant_fixed(sub, gauge)
+        if zero_local is None:
+            system = _assemble_for_seed(sub, _iteration_seed(master, iteration), gauge)
+            kernel = null_space_basis(system, tolerance)
+            if kernel.shape[1] == 0:
+                zero_local = set(range(len(sub_nodes)))
+            else:
+                blocks = kernel.reshape(len(sub_nodes), 12, -1)
+                norms = np.linalg.norm(blocks, axis=(1, 2))
+                zero_local = set(np.nonzero(norms <= NODE_BLOCK_REL_TOL * norms.max())[0].tolist())
         comp_edges = [
             k
             for k in sub_edge_ids

@@ -24,7 +24,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import DEFAULT_SEED_COUNT, DEFAULT_TOLERANCE, finite_solvability, maximal_components
+from .engine import (
+    DEFAULT_SEED_COUNT,
+    DEFAULT_TOLERANCE,
+    _certificate,
+    _check_tolerance,
+    finite_solvability,
+    maximal_components,
+)
 from .graph import ViewingGraph, _piece_roots, minimal_edge_count, necessary_conditions
 
 __all__ = [
@@ -182,12 +189,18 @@ def mine_minimal(
 ) -> MiningResult:
     """Test every enumeration candidate for finite solvability.
 
-    Per-candidate RNG seeds are derived from the candidate's canonical form,
-    so results are reproducible no matter how the work is scheduled.
+    A candidate the growth certificate or a necessary condition decides
+    takes no rank test.  Per-candidate RNG seeds are derived from the
+    candidate's canonical form, so results are reproducible no matter how
+    the work is scheduled.
     """
+    _check_tolerance(tolerance)
     cands = list(enumerate_candidates(n))
 
     def check(g: ViewingGraph) -> bool:
+        certified = _certificate(g)
+        if certified is not None:
+            return certified
         seeds = _candidate_seeds(canonical_form(g), DEFAULT_SEED_COUNT)
         return finite_solvability(g, seeds=seeds, tolerance=tolerance).finite_solvable
 
@@ -262,7 +275,10 @@ def density_sweep(
 ) -> SweepResult:
     """Sample random graphs at a fixed edge density and count how many pass
     the finite-solvability test; failures also report their component count.
+    A sample the growth certificate or a necessary condition decides takes
+    no rank test before its components.
     """
+    _check_tolerance(tolerance)
     if not 0 < density_percent <= 100:
         raise ValueError("density must be in (0, 100]")
     if samples < 1:
@@ -279,8 +295,10 @@ def density_sweep(
 
     def run(job):
         g, job_seeds = job
-        report = finite_solvability(g, seeds=job_seeds, tolerance=tolerance)
-        if report.finite_solvable:
+        solvable = _certificate(g)
+        if solvable is None:
+            solvable = finite_solvability(g, seeds=job_seeds, tolerance=tolerance).finite_solvable
+        if solvable:
             return True, 1
         comps = maximal_components(g, seeds=job_seeds[:1], tolerance=tolerance)
         return False, len(comps.components)

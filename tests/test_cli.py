@@ -5,7 +5,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from vgsolve import engine, geometry
+from vgsolve import cli, engine, geometry
 from vgsolve.cli import main
 from vgsolve.engine import assemble_jacobian
 from vgsolve.geometry import fundamental_assignment, random_generic_configuration
@@ -14,12 +14,21 @@ from vgsolve.graph import parse_edge_list
 TRIANGLE = "0 1\n1 2\n0 2\n"
 SQUARE = "0 1\n1 2\n2 3\n3 0\n"
 BOWTIE = "0 1\n0 2\n1 2\n2 3\n2 4\n3 4\n"
+# the mine 5 witness: solvable, and decided by the rank test (no triangle)
+K23 = "0 2\n1 2\n0 3\n1 3\n0 4\n1 4\n"
 
 
 @pytest.fixture
 def triangle_file(tmp_path):
     p = tmp_path / "triangle.txt"
     p.write_text(TRIANGLE)
+    return str(p)
+
+
+@pytest.fixture
+def k23_file(tmp_path):
+    p = tmp_path / "k23.txt"
+    p.write_text(K23)
     return str(p)
 
 
@@ -61,16 +70,31 @@ def test_check_beyond_column_cap_exit_two(square_file, monkeypatch, capsys):
     assert "59x48" in captured.err and captured.out == ""
 
 
-def test_check_json_schema(triangle_file, capsys):
-    assert main(["--format", "json", "check", triangle_file]) == 0
+def test_check_json_schema(k23_file, capsys):
+    assert main(["--format", "json", "check", k23_file]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["finite_solvable"] is True
-    assert payload["rank_jp"] == 18
-    assert payload["expected_rank"] == 18
+    assert payload["rank_jp"] == 40
+    assert payload["expected_rank"] == 40
     assert len(payload["seeds"]) == 5
     assert payload["agreement"] == [True] * 5
     assert payload["sigma_min"] > 0
     assert payload["tolerance"] == 1e-8
+    assert payload["path"] == "float"
+
+
+def test_check_certified_graph_json_and_text(triangle_file, capsys):
+    assert main(["--format", "json", "check", triangle_file]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["finite_solvable"] is True
+    assert payload["rank_jp"] == payload["expected_rank"] == 18
+    assert payload["path"] == "certificate"
+    assert payload["sigma_min"] is None and payload["sigma_max"] is None
+    assert payload["seeds"] == [] and payload["agreement"] == []
+    assert main(["check", triangle_file]) == 0
+    out = capsys.readouterr().out
+    assert "sigma_min/sigma_max: n/a (growth certificate)" in out
+    assert "seeds: [] agreement: []" in out
 
 
 def test_check_json_deterministic_modulo_timing(triangle_file, capsys):
@@ -83,9 +107,9 @@ def test_check_json_deterministic_modulo_timing(triangle_file, capsys):
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
-def test_check_custom_seeds_and_tolerance(triangle_file, capsys):
+def test_check_custom_seeds_and_tolerance(k23_file, capsys):
     assert main(["--seeds", "1,2,3", "--tolerance", "1e-9",
-                 "--format", "json", "check", triangle_file]) == 0
+                 "--format", "json", "check", k23_file]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["seeds"] == [1, 2, 3]
     assert payload["tolerance"] == 1e-9
@@ -109,6 +133,23 @@ def test_check_export_matrix(triangle_file, tmp_path, capsys):
     assert np.array_equal(back.indptr, expected.indptr)
     assert np.array_equal(back.indices, expected.indices)
     assert np.allclose(back.data, expected.data, rtol=1e-14, atol=0)
+    capsys.readouterr()
+
+
+def test_check_export_matrix_of_certified_graph_assembles_once(triangle_file, tmp_path,
+                                                               monkeypatch, capsys):
+    calls = []
+    assemble = engine.assemble_jacobian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "assemble_jacobian", counted)
+    out = tmp_path / "out.mtx"
+    assert main(["check", triangle_file, "--export-matrix", str(out)]) == 0
+    assert out.read_text().startswith("%%MatrixMarket")
+    assert calls == [1]
     capsys.readouterr()
 
 
@@ -228,6 +269,45 @@ def test_threads_env_validated_like_flag(threads, monkeypatch, capsys):
         main(["mine", "5"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "abc"])
+def test_bad_threads_env_is_named(threads, monkeypatch, capsys):
+    monkeypatch.setenv("VGSOLVE_THREADS", threads)
+    with pytest.raises(SystemExit) as exc:
+        main(["mine", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "VGSOLVE_THREADS" in err and f"got {threads!r}" in err
+    assert "argument --threads" not in err
+
+
+def test_bad_threads_flag_keeps_its_message(monkeypatch, capsys):
+    # the flag wins over a valid variable, and its error names only the flag
+    monkeypatch.setenv("VGSOLVE_THREADS", "2")
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "abc", "mine", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --threads: must be an integer of at least 1, got 'abc'" in err
+    assert "VGSOLVE_THREADS" not in err
+
+
+def test_threads_env_sets_the_default(monkeypatch, capsys):
+    seen = []
+    mine_minimal = cli.mine_minimal
+
+    def recording(n, tolerance, threads):
+        seen.append(threads)
+        return mine_minimal(n, tolerance=tolerance, threads=threads)
+
+    monkeypatch.setattr(cli, "mine_minimal", recording)
+    monkeypatch.setenv("VGSOLVE_THREADS", "3")
+    assert main(["mine", "5"]) == 0
+    monkeypatch.delenv("VGSOLVE_THREADS")
+    assert main(["mine", "5"]) == 0
+    assert seen == [3, 1]
+    capsys.readouterr()
 
 
 def test_dims_text(square_file, capsys):

@@ -8,10 +8,12 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from vgsolve import engine, geometry
+from vgsolve.cli import main
 from vgsolve.engine import (
     DEFAULT_PRIME,
     JacobianSystem,
     RankComputationError,
+    _certificate,
     _edge_blocks,
     _field_jacobian,
     _low_ritz_pairs,
@@ -31,7 +33,7 @@ from vgsolve.geometry import (
     fundamental_assignment,
     random_generic_configuration,
 )
-from vgsolve.graph import ViewingGraph, necessary_conditions
+from vgsolve.graph import ViewingGraph, necessary_conditions, to_edge_list
 from vgsolve.mining import sample_graph
 
 TRIANGLE = ViewingGraph(3, ((0, 1), (1, 2), (0, 2)))
@@ -39,6 +41,9 @@ SQUARE = ViewingGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
 K4_MINUS_EDGE = ViewingGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
 BOWTIE = ViewingGraph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)))
 SINGLE_EDGE = ViewingGraph(2, ((0, 1),))
+# the mine 5 witness: finite solvable, but triangle-free, so only the rank
+# test decides it
+K23 = ViewingGraph(5, ((0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)))
 
 
 def build_system(g, seed=1, gauge=None):
@@ -328,22 +333,37 @@ def test_finite_solvability_verdicts():
 
 
 def test_report_fields_and_json():
-    rep = finite_solvability(TRIANGLE, seeds=[4, 5, 6])
-    assert rep.expected_rank == 18
-    assert rep.rank_jp == 18
+    rep = finite_solvability(K23, seeds=[4, 5, 6])
+    assert rep.expected_rank == 40
+    assert rep.rank_jp == 40
     assert rep.seeds == (4, 5, 6)
     assert rep.agreement == (True, True, True)
     assert rep.wall_time > 0
     payload = json.loads(rep.to_json())
     assert payload["finite_solvable"] is True
     assert payload["tolerance"] == rep.tolerance
+    assert payload["path"] == "float"
 
 
 def test_report_sigmas_come_from_first_agreeing_seed():
-    rep = finite_solvability(TRIANGLE, seeds=[4, 5, 6])
+    rep = finite_solvability(K23, seeds=[4, 5, 6])
     assert rep.agreement == (True, True, True)
-    _, smin, smax = is_full_column_rank(build_system(TRIANGLE, seed=4))
+    _, smin, smax = is_full_column_rank(build_system(K23, seed=4))
     assert (rep.sigma_min, rep.sigma_max) == (smin, smax)
+
+
+def test_certified_report_draws_no_camera(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a certified graph must not be assembled")
+
+    monkeypatch.setattr(engine, "assemble_jacobian", forbidden)
+    rep = finite_solvability(TRIANGLE, seeds=[4, 5, 6])
+    assert (rep.finite_solvable, rep.rank_jp, rep.expected_rank) == (True, 18, 18)
+    assert rep.path == "certificate"
+    assert (rep.seeds, rep.agreement) == ((), ())
+    payload = json.loads(rep.to_json())
+    assert payload["sigma_min"] is None and payload["sigma_max"] is None
+    assert payload["seeds"] == [] and payload["agreement"] == []
 
 
 def test_rank_reported_for_deficient_graph():
@@ -396,7 +416,11 @@ def test_seed_stability_random_graphs():
         g = sample_graph(n, m, rng)
         seeds = [int(s) for s in rng.integers(0, 2**32, size=5)]
         rep = finite_solvability(g, seeds=seeds)
-        assert len(set(rep.agreement)) == 1
+        # a certified report evaluates no seed: run the rank test at each
+        per_seed = rep.agreement or tuple(
+            is_full_column_rank(engine._assemble_for_seed(g, s, None))[0] for s in seeds)
+        assert len(set(per_seed)) == 1
+        assert per_seed[0] == rep.finite_solvable
 
 
 def test_necessary_condition_consistency():
@@ -622,3 +646,168 @@ def test_verdict_and_partition_invariant_under_relabeling(g, perm):
     identity = list(range(g.node_count))
     assert _component_edge_sets(h, maximal_components(h), identity) == \
         _component_edge_sets(g, maximal_components(g), perm)
+
+
+def _soundness_cases():
+    rng = np.random.default_rng(1313)
+    for _ in range(520):
+        n = int(rng.integers(3, 15))
+        pairs = n * (n - 1) // 2
+        yield sample_graph(n, int(rng.integers(1, pairs + 1)), rng)
+
+
+def test_certificate_is_sound():
+    # every certified verdict is checked against both rank tests: the float
+    # test on one assembled system and the exact rank over GF(p)
+    decided = {True: 0, False: 0, None: 0}
+    for t, g in enumerate(_soundness_cases()):
+        verdict = _certificate(g)
+        decided[verdict] += 1
+        if verdict is None:
+            continue
+        full, _, _ = is_full_column_rank(build_system(g, seed=t))
+        exact_full = finite_field_rank(g, seed=t) == 12 * g.node_count
+        assert full == exact_full == verdict, g.edges
+    assert decided[True] >= 100 and decided[False] >= 100
+
+
+def test_certified_pieces_are_assigned_without_kernel(monkeypatch):
+    # BOWTIE: the whole graph fails (cut vertex), so its first piece takes
+    # a kernel; the second triangle is certified and assigned whole
+    kernels = []
+    null_space = engine.null_space_basis
+
+    def counted(*args, **kwargs):
+        kernels.append(1)
+        return null_space(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "null_space_basis", counted)
+    assert maximal_components(BOWTIE).assignment == (0, 0, 0, 1, 1, 1)
+    assert kernels == [1]
+    assert maximal_components(TRIANGLE).assignment == (0, 0, 0)
+    assert kernels == [1]
+
+
+K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+@pytest.mark.parametrize("g,expected", [
+    # a pendant gauge edge is a component of its own, then the K4 whole
+    (ViewingGraph(5, ((3, 4),) + K4_EDGES), (0, 1, 1, 1, 1, 1, 1)),
+    # the K4 left after the degree-1 node is certified: it comes first
+    (ViewingGraph(5, K4_EDGES + ((3, 4),)), (0, 0, 0, 0, 0, 0, 1)),
+    # a path hanging off the K4: each of its edges is its own component
+    (ViewingGraph(6, K4_EDGES + ((3, 4), (4, 5))), (0, 0, 0, 0, 0, 0, 1, 2)),
+], ids=["pendant-gauge", "certified-rest", "hanging-path"])
+def test_pendant_pieces_are_assigned_without_kernel(monkeypatch, g, expected):
+    kernels = []
+    null_space = engine.null_space_basis
+
+    def counted(*args, **kwargs):
+        kernels.append(1)
+        return null_space(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "null_space_basis", counted)
+    assert maximal_components(g, seeds=[5]).assignment == expected
+    # the hanging path's inner node has degree 2, so its first piece needs
+    # a kernel; the pieces after it do not
+    assert len(kernels) == (1 if g.node_count == 6 else 0)
+    # the kernel of every piece gives the same partition
+    monkeypatch.setattr(engine, "_pendant_fixed", lambda sub, gauge: None)
+    assert maximal_components(g, seeds=[5]).assignment == expected
+
+
+def _pendant_cases():
+    rng = np.random.default_rng(4242)
+    for _ in range(80):
+        n = int(rng.integers(4, 16))
+        g = sample_graph(n, int(rng.integers(n, min(n * (n - 1) // 2, 4 * n) + 1)), rng)
+        edges, nodes = list(g.edges), n
+        for _ in range(int(rng.integers(1, 4))):
+            edges.insert(int(rng.integers(0, len(edges) + 1)),
+                         (int(rng.integers(0, nodes)), nodes))
+            nodes += 1
+        yield ViewingGraph(nodes, tuple(edges))
+
+
+def test_pendant_shortcut_agrees_with_kernel(monkeypatch):
+    # graphs with degree-1 nodes, pendant edges anywhere in the edge order:
+    # the partition is the one the kernel of every piece gives
+    decided = []
+    pendant_fixed = engine._pendant_fixed
+
+    def counted(sub, gauge):
+        fixed = pendant_fixed(sub, gauge)
+        decided.append(fixed is not None)
+        return fixed
+
+    cases = list(_pendant_cases())
+    monkeypatch.setattr(engine, "_pendant_fixed", counted)
+    shortcut = [maximal_components(g, seeds=[t]).assignment for t, g in enumerate(cases)]
+    assert sum(decided) >= 40
+    monkeypatch.setattr(engine, "_pendant_fixed", lambda sub, gauge: None)
+    for t, g in enumerate(cases):
+        assert maximal_components(g, seeds=[t]).assignment == shortcut[t], g.edges
+
+
+def _uniform_graph(n, m, seed):
+    """m distinct uniform pairs on n nodes, without listing all n^2 pairs."""
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, n, size=(2, 2 * m))
+    codes = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    codes = codes[codes // n != codes % n]
+    codes = rng.permutation(codes)[:m]
+    assert codes.size == m
+    return ViewingGraph(n, tuple(zip((codes // n).tolist(), (codes % n).tolist())))
+
+
+def test_certificate_no_cliff_on_large_uniform_graph():
+    g = _uniform_graph(10_000, 200_000, 1)
+    t0 = time.perf_counter()
+    assert _certificate(g) is True
+    assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.mark.parametrize("command", ["check", "components"])
+def test_cli_no_cliff_beyond_column_cap(command, tmp_path, capsys):
+    # 24000 columns: beyond the rank test's reach, within the certificate's
+    g = _uniform_graph(2000, 40_000, 3)
+    path = tmp_path / "uniform.txt"
+    path.write_text(to_edge_list(g))
+    t0 = time.perf_counter()
+    assert main(["--format", "json", command, str(path)]) == 0
+    assert time.perf_counter() - t0 < 30.0
+    payload = json.loads(capsys.readouterr().out)
+    if command == "check":
+        assert payload["finite_solvable"] is True and payload["path"] == "certificate"
+    else:
+        assert len(payload["components"]) == 1
+
+
+def test_components_no_cliff_with_pendant_node(tmp_path, capsys):
+    # one degree-1 node on the certified 2000/40000 graph: the rest is
+    # certified, so no kernel of the 24012-column system is needed
+    g = _uniform_graph(2000, 40_000, 3)
+    g = ViewingGraph(2001, g.edges + ((0, 2000),))
+    path = tmp_path / "pendant.txt"
+    path.write_text(to_edge_list(g))
+    t0 = time.perf_counter()
+    assert main(["--format", "json", "components", str(path)]) == 0
+    assert time.perf_counter() - t0 < 30.0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(len(c["edges"]) for c in payload["components"]) == [1, 40_000]
+
+
+def test_certificate_no_cliff_on_triangle_free_graph():
+    # a bipartite circulant: every node has degree 8 and passes the
+    # necessary conditions, but every edge's closure is the edge itself
+    half, rng = 2500, np.random.default_rng(2)
+    offsets = rng.choice(half, size=8, replace=False)
+    perm = rng.permutation(2 * half)
+    edges = [(int(perm[i]), int(perm[half + (i + int(o)) % half]))
+             for i in range(half) for o in offsets]
+    g = ViewingGraph(2 * half, tuple(edges[int(k)] for k in rng.permutation(len(edges))))
+    assert g.edge_count == 20_000
+    t0 = time.perf_counter()
+    assert _certificate(g) is None
+    assert time.perf_counter() - t0 < 5.0

@@ -171,6 +171,47 @@ def test_huge_thread_count_capped_by_tasks(monkeypatch):
         density_sweep(10, 40.0, 3, seed=7, threads=0)
 
 
+def test_rejected_sweep_sample_is_assembled_only_for_its_components(monkeypatch):
+    # 6 edges on 12 nodes: every sample fails a necessary condition, so no
+    # rank test runs before maximal_components
+    import vgsolve.engine as engine
+    import vgsolve.mining as mining
+
+    inside, outside, entered = [], [], []
+    depth = [0]
+    assemble, components = engine.assemble_jacobian, mining.maximal_components
+
+    def counted_assemble(*args, **kwargs):
+        (inside if depth[0] else outside).append(1)
+        return assemble(*args, **kwargs)
+
+    def counted_components(*args, **kwargs):
+        entered.append(1)
+        depth[0] += 1
+        try:
+            return components(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(engine, "assemble_jacobian", counted_assemble)
+    monkeypatch.setattr(mining, "maximal_components", counted_components)
+    res = density_sweep(12, 10.0, 4, seed=1)
+    assert res.fin_solv_count == 0
+    # every sample reaches maximal_components; degree-1 nodes decide some
+    # of its pieces there without an assembly
+    assert outside == [] and len(entered) == 4 and len(inside) >= 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda tol: mine_minimal(3, tolerance=tol),
+    lambda tol: density_sweep(8, 100.0, 2, seed=0, tolerance=tol),
+], ids=["mine_minimal", "density_sweep"])
+def test_tolerance_checked_even_when_certificates_decide(run):
+    # n=3 and complete graphs are all certified: no rank test would see it
+    with pytest.raises(ValueError, match="tolerance"):
+        run(float("nan"))
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         density_sweep(10, 0.0, 5, seed=0)

@@ -1,12 +1,14 @@
 """Property tests against independent oracles: networkx for connectivity,
 isomorphism and the atlas of all graphs on up to 7 nodes, and the edge-list
-format itself for parsing."""
+format itself for parsing; and the growth certificate's invariance under
+relabeling."""
 
 import random
 from itertools import combinations
 
 import pytest
 
+from vgsolve.engine import _certificate, finite_solvability
 from vgsolve.graph import (
     GraphParseError,
     GraphValidationError,
@@ -145,3 +147,15 @@ def test_parser_raises_only_named_errors(text):
         return
     assert g.edge_count >= 1
     assert set(range(g.node_count)) == {v for e in g.edges for v in e}
+
+
+@SETTINGS
+@given(graphs(min_nodes=2), st.data())
+def test_certificate_invariant_under_relabeling_and_edge_order(g, data):
+    hypothesis.assume(g.edge_count >= 1)
+    perm = data.draw(st.permutations(range(g.node_count)))
+    order = data.draw(st.permutations(range(g.edge_count)))
+    h = ViewingGraph(g.node_count, tuple(g.permuted(perm).edges[k] for k in order))
+    assert _certificate(h) == _certificate(g)
+    paths = [finite_solvability(x, seeds=[1]).path for x in (g, h)]
+    assert paths[0] == paths[1] == ("certificate" if _certificate(g) else "float")
