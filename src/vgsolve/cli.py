@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seeds", type=_parse_seed_list, default=None, metavar="S1,S2,...",
-        help="explicit RNG seeds (default: 5 seeds derived from master seed 42)",
+        help="RNG seeds, tried in order until one decides; if none does, the exact "
+             "GF(p) rank decides (default: 5 seeds derived from master seed 42)",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "csv"), default="text",
@@ -146,6 +147,8 @@ def cmd_check(args) -> int:
             "n/a (growth certificate)" if report.path == "certificate"
             else f"{report.sigma_min:.3e} / {report.sigma_max:.3e} (tolerance {report.tolerance:g})"
         )
+        if report.path == "exact":
+            sigmas += ", no seed decisive: decided by the exact GF(p) rank"
         lines = [
             f"graph: {g.node_count} nodes, {g.edge_count} edges",
             f"verdict: {verdict}",

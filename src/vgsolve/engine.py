@@ -1,6 +1,7 @@
 """Assembly of the augmented constraint Jacobian, the full-column-rank test
 deciding finite solvability, kernel-based extraction of maximal
-finite-solvable components, and an exact finite-field cross-check.
+finite-solvable components, and an exact finite-field rank, which decides
+the graphs no float seed decides and cross-checks the others.
 
 For a graph with n nodes and m edges the augmented Jacobian J has
 ``10*m + n + 15`` rows and ``12*n`` columns:
@@ -77,12 +78,22 @@ _RITZ_WATCH = 1e-6  # Ritz values below this share of sigma_max must settle
 _RITZ_GUARD = 1e-3  # a kernel block grows until it holds a Ritz value above this
 _RITZ_SETTLED = 1e-10  # relative change per step that counts as settled
 _RITZ_FLOOR = 64 * np.finfo(float).eps  # change (share of sigma_max) at rounding level
+# A seed decides the verdict when q = sigma_min / (tolerance * sigma_max) lies
+# outside (_BAND_LOW, _BAND_HIGH); otherwise the next seed, and after the last
+# the GF(p) rank, decides.  Over about 2000 seed evaluations of graphs the
+# certificate leaves open (the 111 of mine 9, and random graphs at n = 20, 40
+# and 60 of 5-20% density, checked against the GF(p) rank) a deficient q never
+# exceeded 2.1e-8 and a solvable q never fell below 1.17; 50 of them, all
+# solvable, landed inside the band.
+_BAND_LOW = 1e-3
+_BAND_HIGH = 1e3
 
 
 class RankComputationError(RuntimeError):
     """A rank or kernel computation on a system too large for the dense SVD
     failed: the system has more columns than the large-system path takes,
-    a factorization broke down or an iteration hit its step cap."""
+    a factorization broke down or an iteration hit its step cap.  Also
+    raised for an exact rank whose dense matrix would be too large."""
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -374,8 +385,10 @@ class SolvabilityReport:
     """Outcome of the finite-solvability decision for one graph.
 
     ``path`` says how it was reached: "certificate" (the growth
-    certificate, no camera drawn: no sigmas, no seeds evaluated) or "float"
-    (the rank test at one configuration per seed in ``seeds``).
+    certificate, no camera drawn: no sigmas, no seeds evaluated), "float"
+    (the last seed in ``seeds`` decided) or "exact" (no seed decided, the
+    GF(p) rank did).  ``seeds`` are the seeds evaluated, ``agreement`` the
+    float verdict of each, and the sigmas are those of the first.
     """
 
     finite_solvable: bool
@@ -470,11 +483,19 @@ def finite_solvability(
     seeds: list[int] | tuple[int, ...] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> SolvabilityReport:
-    """Decide finite solvability by the full-rank test at random generic
-    configurations, one per seed, with a majority vote across seeds.  A
-    graph the growth certificate covers is reported solvable without a
-    camera drawn (see _certificate); a necessary-condition failure does not
-    short-cut, since ``rank_jp`` needs the rank test.
+    """Decide finite solvability by the full-rank test at a random generic
+    configuration: the seeds are tried in order and the first decisive one
+    decides.  A graph the growth certificate covers is reported solvable
+    without a camera drawn (see _certificate); a necessary-condition failure
+    does not short-cut, since ``rank_jp`` needs the rank test.
+
+    Each seed costs one spectral pass.  It decides when its ratio
+    q = sigma_min / (tolerance * sigma_max) lies outside the band
+    (_BAND_LOW, _BAND_HIGH): solvable with ``rank_jp = 11n - 15`` above it,
+    deficient below it, with ``rank_jp`` short by the singular values at or
+    below ``tolerance * sigma_max``.  When no seed decides, the exact rank
+    over GF(p) does (``path`` "exact"): full rank mod p proves full rank
+    over Q.
 
     Disconnected graphs come out rank-deficient automatically (the extra
     pieces keep their own projective freedom), so no special casing is
@@ -505,32 +526,33 @@ def finite_solvability(
             wall_time=time.perf_counter() - t0,
         )
     verdicts: list[bool] = []
-    sigmas: list[tuple[float, float]] = []
-    nullity: int | None = None
     for seed in seeds:
         J = _assemble_for_seed(g, seed, None).matrix
-        # until the first deficient seed, resolve every deficient value so
-        # that this one spectral pass also counts the kernel for rank_jp
-        s, smax, _ = _low_spectrum(J, tolerance, "rank" if nullity is None else "verdict")
-        full = bool(s[0] > tolerance * smax)
-        verdicts.append(full)
-        sigmas.append((float(s[0]), smax))
-        if not full and nullity is None:
-            nullity = int(np.count_nonzero(s <= tolerance * smax))
-    majority = sum(verdicts) * 2 > len(verdicts)
-    rank_jp = expected if majority else expected - nullity
-    # the representative seed is the first to agree with the verdict
-    smin, smax = sigmas[verdicts.index(majority)]
+        s, smax, _ = _low_spectrum(J, tolerance, "rank")
+        floor = tolerance * smax
+        if not verdicts:
+            sigma_min, sigma_max = float(s[0]), smax
+        verdicts.append(bool(s[0] > floor))
+        if s[0] >= _BAND_HIGH * floor:
+            solvable, rank_jp, path = True, expected, "float"
+            break
+        if s[0] <= _BAND_LOW * floor:
+            nullity = int(np.count_nonzero(s <= floor))
+            solvable, rank_jp, path = False, expected - nullity, "float"
+            break
+    else:
+        rank = finite_field_rank(g)
+        solvable, rank_jp, path = rank == 12 * n, expected - (12 * n - rank), "exact"
     return SolvabilityReport(
-        finite_solvable=majority,
+        finite_solvable=solvable,
         rank_jp=rank_jp,
         expected_rank=expected,
-        sigma_min=smin,
-        sigma_max=smax,
+        sigma_min=sigma_min,
+        sigma_max=sigma_max,
         tolerance=tolerance,
-        seeds=seeds,
+        seeds=seeds[: len(verdicts)],
         agreement=tuple(verdicts),
-        path="float",
+        path=path,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -667,23 +689,28 @@ def maximal_components(
 
 
 def _rank_mod_p(M: np.ndarray, p: int) -> int:
-    """Row-echelon rank over GF(p); M is int64 with entries in [0, p)."""
+    """Row-echelon rank over GF(p); M is int64 with entries in [0, p).
+
+    Rows r: are zero left of column c, so each step touches only columns
+    c:, and only the rows with a nonzero in column c.  Of those, the one
+    with the fewest nonzeros in c: becomes the pivot row, which keeps the
+    fill-in of these sparse systems low.
+    """
     M = M % p
     rows, cols = M.shape
     r = 0
     for c in range(cols):
-        pivots = np.nonzero(M[r:, c])[0]
-        if pivots.size == 0:
+        cand = r + np.flatnonzero(M[r:, c])
+        if cand.size == 0:
             continue
-        piv = r + int(pivots[0])
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
-        below = M[r + 1 :, c]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            M[r + 1 + nz] = (M[r + 1 + nz] - np.outer(below[nz], M[r])) % p
+        block = M[cand, c:]
+        k = int(np.argmin(np.count_nonzero(block, axis=1)))
+        pivot = block[k] * pow(int(block[k, 0]), p - 2, p) % p
+        others = np.delete(block, k, axis=0)
+        if others.size:
+            M[np.delete(cand, k), c:] = (others - np.outer(others[:, 0], pivot)) % p
+        M[cand[k], c:] = M[r, c:]
+        M[r, c:] = pivot
         r += 1
         if r == rows:
             break
@@ -712,12 +739,20 @@ def finite_field_rank(
 ) -> int:
     """Rank over GF(prime) of the augmented Jacobian at uniformly random
     field cameras.  All block formulas are polynomial, so the evaluation is
-    exact; full rank (12n) certifies the floating-point verdict.
+    exact; full rank (12n) certifies the floating-point verdict.  A system
+    of more than _DENSE_SVD_MAX_ENTRIES entries raises RankComputationError
+    before its dense matrix is built.
     """
     if prime <= 2**20:
         raise ValueError("prime must exceed 2^20")
     if g.edge_count == 0:
         raise ValueError("graph has no edges")
+    rows, cols = 10 * g.edge_count + g.node_count + 15, 12 * g.node_count
+    if rows * cols > _DENSE_SVD_MAX_ENTRIES:
+        raise RankComputationError(
+            f"a {rows}x{cols} system is too large for the exact rank: more than "
+            f"{_DENSE_SVD_MAX_ENTRIES} entries in its dense int64 matrix"
+        )
     return _rank_mod_p(_field_jacobian(g, prime, np.random.default_rng(seed)), prime)
 
 

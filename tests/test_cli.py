@@ -76,8 +76,9 @@ def test_check_json_schema(k23_file, capsys):
     assert payload["finite_solvable"] is True
     assert payload["rank_jp"] == 40
     assert payload["expected_rank"] == 40
-    assert len(payload["seeds"]) == 5
-    assert payload["agreement"] == [True] * 5
+    # the first of the five default seeds decides
+    assert payload["seeds"] == [engine.derive_seeds()[0]]
+    assert payload["agreement"] == [True]
     assert payload["sigma_min"] > 0
     assert payload["tolerance"] == 1e-8
     assert payload["path"] == "float"
@@ -97,6 +98,24 @@ def test_check_certified_graph_json_and_text(triangle_file, capsys):
     assert "seeds: [] agreement: []" in out
 
 
+def test_check_exact_path_text(k23_file, monkeypatch, capsys):
+    # every seed inside the ambiguity band: the GF(p) rank decides
+    low_spectrum = engine._low_spectrum
+
+    def banded(J, tolerance, need):
+        s, smax, V = low_spectrum(J, tolerance, need)
+        s = s.copy()
+        s[0] = tolerance * smax
+        return s, smax, V
+
+    monkeypatch.setattr(engine, "_low_spectrum", banded)
+    assert main(["--seeds", "1,2", "check", k23_file]) == 0
+    out = capsys.readouterr().out
+    assert "no seed decisive: decided by the exact GF(p) rank" in out
+    assert "rank: 40 (expected 40)" in out
+    assert "seeds: [1, 2] agreement: [False, False]" in out
+
+
 def test_check_json_deterministic_modulo_timing(triangle_file, capsys):
     main(["--format", "json", "check", triangle_file])
     first = json.loads(capsys.readouterr().out)
@@ -111,7 +130,8 @@ def test_check_custom_seeds_and_tolerance(k23_file, capsys):
     assert main(["--seeds", "1,2,3", "--tolerance", "1e-9",
                  "--format", "json", "check", k23_file]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["seeds"] == [1, 2, 3]
+    assert payload["seeds"] == [1]
+    assert payload["agreement"] == [True]
     assert payload["tolerance"] == 1e-9
 
 

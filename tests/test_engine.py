@@ -136,6 +136,13 @@ def test_null_space_square():
     assert np.allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-10)
 
 
+def _exact_rank(g, seed):
+    """finite_field_rank(g, seed=seed) without its size guard, which the
+    "gram" branch lowers to 0 along with the dense SVD switch."""
+    M = _field_jacobian(g, DEFAULT_PRIME, np.random.default_rng(seed))
+    return engine._rank_mod_p(M, DEFAULT_PRIME)
+
+
 @pytest.fixture(params=["dense", "gram"])
 def branch(request, monkeypatch):
     """Run a test on the dense-SVD path and again on the large-system
@@ -223,11 +230,12 @@ def test_one_spectral_pass_per_seed(g, branch, monkeypatch):
 
     monkeypatch.setattr(engine, "_low_spectrum", counted)
     monkeypatch.setattr(engine, "null_space_basis", forbidden)
-    seeds = [4, 5, 6]
-    rep = finite_solvability(g, seeds=seeds)
+    rep = finite_solvability(g, seeds=[4, 5, 6])
     assert not rep.finite_solvable
-    assert calls == ["rank", "verdict", "verdict"]
-    assert rep.rank_jp == finite_field_rank(g, seed=1) - g.node_count - 15
+    # the first seed decides: one rank pass, and the others are not evaluated
+    assert (rep.seeds, rep.path) == ((4,), "float")
+    assert calls == ["rank"]
+    assert rep.rank_jp == _exact_rank(g, seed=1) - g.node_count - 15
 
 
 def test_fundamentals_evaluated_once_per_seed(monkeypatch):
@@ -239,8 +247,9 @@ def test_fundamentals_evaluated_once_per_seed(monkeypatch):
         return minors(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "_fundamental_minors", counted)
-    finite_solvability(SQUARE, seeds=[1, 2, 3])
-    assert len(calls) == 3
+    rep = finite_solvability(SQUARE, seeds=[1, 2, 3])
+    assert rep.seeds == (1,)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 1.0, 2.0])
@@ -276,7 +285,7 @@ def test_rank_jp_matches_field_rank(branch):
         n = int(rng.integers(5, 16))
         m = int(rng.integers(n, 2 * n + 1))
         g = sample_graph(n, m, rng)
-        exact = finite_field_rank(g, seed=checked)
+        exact = _exact_rank(g, seed=checked)
         if exact == 12 * n:
             continue
         rep = finite_solvability(g, seeds=[1, 2, 3])
@@ -336,8 +345,8 @@ def test_report_fields_and_json():
     rep = finite_solvability(K23, seeds=[4, 5, 6])
     assert rep.expected_rank == 40
     assert rep.rank_jp == 40
-    assert rep.seeds == (4, 5, 6)
-    assert rep.agreement == (True, True, True)
+    assert rep.seeds == (4,)
+    assert rep.agreement == (True,)
     assert rep.wall_time > 0
     payload = json.loads(rep.to_json())
     assert payload["finite_solvable"] is True
@@ -345,11 +354,83 @@ def test_report_fields_and_json():
     assert payload["path"] == "float"
 
 
-def test_report_sigmas_come_from_first_agreeing_seed():
+def test_report_sigmas_come_from_first_seed():
     rep = finite_solvability(K23, seeds=[4, 5, 6])
-    assert rep.agreement == (True, True, True)
+    assert rep.agreement == (True,)
     _, smin, smax = is_full_column_rank(build_system(K23, seed=4))
     assert (rep.sigma_min, rep.sigma_max) == (smin, smax)
+
+
+def _in_band_spectrum(monkeypatch, seeds_in_band):
+    """Make the first ``seeds_in_band`` spectral passes land inside the
+    ambiguity band (sigma_min = tolerance * sigma_max, q = 1) and record
+    the sigmas every pass returns."""
+    low_spectrum = engine._low_spectrum
+    returned = []
+
+    def banded(J, tolerance, need):
+        s, smax, V = low_spectrum(J, tolerance, need)
+        if len(returned) < seeds_in_band:
+            s = s.copy()
+            s[0] = tolerance * smax
+        returned.append((float(s[0]), smax))
+        return s, smax, V
+
+    monkeypatch.setattr(engine, "_low_spectrum", banded)
+    return returned
+
+
+@pytest.mark.parametrize("g,solvable,rank_jp", [(K23, True, 40), (SQUARE, False, 28)])
+def test_seed_in_band_passes_to_next_seed(g, solvable, rank_jp, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a decisive second seed must not reach the exact rank")
+
+    returned = _in_band_spectrum(monkeypatch, 1)
+    monkeypatch.setattr(engine, "finite_field_rank", forbidden)
+    rep = finite_solvability(g, seeds=[4, 5, 6])
+    assert (rep.finite_solvable, rep.rank_jp, rep.path) == (solvable, rank_jp, "float")
+    assert rep.seeds == (4, 5)
+    # q = 1 is not above the tolerance, so the first seed's own verdict is False
+    assert rep.agreement == (False, solvable)
+    assert len(returned) == 2
+    assert (rep.sigma_min, rep.sigma_max) == returned[0]
+
+
+@pytest.mark.parametrize("g,solvable,rank_jp", [(K23, True, 40), (SQUARE, False, 28)])
+def test_no_decisive_seed_takes_exact_rank(g, solvable, rank_jp, monkeypatch):
+    returned = _in_band_spectrum(monkeypatch, 3)
+    rep = finite_solvability(g, seeds=[4, 5, 6])
+    assert (rep.finite_solvable, rep.rank_jp, rep.path) == (solvable, rank_jp, "exact")
+    assert rep.rank_jp == rep.expected_rank - (12 * g.node_count - finite_field_rank(g))
+    assert (rep.seeds, rep.agreement) == ((4, 5, 6), (False, False, False))
+    assert (rep.sigma_min, rep.sigma_max) == returned[0]
+    assert json.loads(rep.to_json())["path"] == "exact"
+
+
+def _n100_agreement_graphs():
+    """Three 100-node graphs the certificate does not certify: two uniform
+    ones that fail a necessary condition (deficient) and a triangle-free
+    bipartite one that is finite solvable."""
+    rng = np.random.default_rng(100)
+    graphs = [sample_graph(100, m, rng) for m in (297, 310)]
+    pairs = [(i, 50 + j) for i in range(50) for j in range(50)]
+    pick = np.random.default_rng(1).choice(len(pairs), size=300, replace=False)
+    graphs.append(ViewingGraph(100, tuple(sorted(pairs[k] for k in pick))))
+    return graphs
+
+
+@pytest.mark.parametrize("g", _n100_agreement_graphs(), ids=["uniform297", "uniform310",
+                                                           "bipartite300"])
+def test_float_verdict_agrees_with_exact_rank_at_n100(g):
+    assert _certificate(g) is not True
+    t0 = time.perf_counter()
+    rep = finite_solvability(g)
+    exact = finite_field_rank(g)
+    # 1.4-2.0 s per graph on a 2-vCPU host; the bound allows a slow host
+    assert time.perf_counter() - t0 < 10.0
+    assert rep.path == "float"
+    assert rep.rank_jp == 11 * 100 - 15 - (12 * 100 - exact)
+    assert rep.finite_solvable == (exact == 1200)
 
 
 def test_certified_report_draws_no_camera(monkeypatch):
@@ -416,9 +497,10 @@ def test_seed_stability_random_graphs():
         g = sample_graph(n, m, rng)
         seeds = [int(s) for s in rng.integers(0, 2**32, size=5)]
         rep = finite_solvability(g, seeds=seeds)
-        # a certified report evaluates no seed: run the rank test at each
-        per_seed = rep.agreement or tuple(
+        # a report evaluates a prefix of the seeds: run the rank test at each
+        per_seed = tuple(
             is_full_column_rank(engine._assemble_for_seed(g, s, None))[0] for s in seeds)
+        assert rep.agreement == per_seed[: len(rep.agreement)]
         assert len(set(per_seed)) == 1
         assert per_seed[0] == rep.finite_solvable
 
@@ -527,6 +609,90 @@ def test_finite_field_small_cases():
 def test_finite_field_prime_guard():
     with pytest.raises(ValueError):
         finite_field_rank(TRIANGLE, prime=97)
+
+
+def test_finite_field_size_guard(monkeypatch):
+    # SQUARE (59 x 48) stands in for a system whose dense int64 matrix is
+    # too large; the refusal names the shape and comes before the build
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dense field matrix must not be built")
+
+    monkeypatch.setattr(engine, "_DENSE_SVD_MAX_ENTRIES", 59 * 48)
+    assert finite_field_rank(SQUARE, seed=1) < 48
+    monkeypatch.setattr(engine, "_DENSE_SVD_MAX_ENTRIES", 59 * 48 - 1)
+    monkeypatch.setattr(engine, "_field_jacobian", forbidden)
+    with pytest.raises(RankComputationError, match="59x48"):
+        finite_field_rank(SQUARE, seed=1)
+
+
+def _rank_mod_p_reference(M, p):
+    """The elimination as it was before steps were restricted to the
+    trailing columns and pivots chosen by sparsity: the first row with a
+    nonzero is the pivot, and whole rows are updated."""
+    M = M % p
+    rows, cols = M.shape
+    r = 0
+    for c in range(cols):
+        pivots = np.nonzero(M[r:, c])[0]
+        if pivots.size == 0:
+            continue
+        piv = r + int(pivots[0])
+        if piv != r:
+            M[[r, piv]] = M[[piv, r]]
+        inv = pow(int(M[r, c]), p - 2, p)
+        M[r] = (M[r] * inv) % p
+        below = M[r + 1:, c]
+        nz = np.nonzero(below)[0]
+        if nz.size:
+            M[r + 1 + nz] = (M[r + 1 + nz] - np.outer(below[nz], M[r])) % p
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def _sparse_residues(rng, rows, cols, density, p=DEFAULT_PRIME):
+    M = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+    M[rng.random((rows, cols)) >= density] = 0
+    return M
+
+
+def _residue_cases():
+    rng = np.random.default_rng(15)
+    p = DEFAULT_PRIME
+    for rows, cols, density in ((40, 12, 0.3), (12, 40, 0.3), (60, 60, 0.05), (30, 30, 0.5)):
+        yield _sparse_residues(rng, rows, cols, density)
+    for _ in range(4):  # rank-deficient: some rows are combinations of others
+        M = _sparse_residues(rng, 50, 36, 0.15)
+        for r in range(20, 50):
+            i, j = rng.integers(0, 20, size=2)
+            a, b = rng.integers(1, p, size=2)
+            M[r] = (a * M[i] % p + b * M[j] % p) % p
+        yield M
+    M = _sparse_residues(rng, 30, 24, 0.2)
+    yield M[rng.integers(0, 30, size=60)]  # repeated rows
+    M = _sparse_residues(rng, 40, 30, 0.2)
+    M[:, rng.choice(30, size=8, replace=False)] = 0  # zero columns
+    yield M
+    yield np.zeros((5, 7), dtype=np.int64)
+
+
+@pytest.mark.parametrize("M", list(_residue_cases()))
+def test_rank_mod_p_matches_reference(M):
+    assert engine._rank_mod_p(M.copy(), DEFAULT_PRIME) == _rank_mod_p_reference(M, DEFAULT_PRIME)
+
+
+def test_rank_mod_p_matches_reference_on_exact_graphs():
+    # the graphs of the benchmark's exact workload at its seed 1, with the
+    # ranks it records
+    rng = np.random.default_rng(int(np.random.SeedSequence([1, 3]).generate_state(1)[0]))
+    ranks = []
+    for n, density in ((20, 15.0), (20, 40.0), (40, 8.0), (40, 20.0), (60, 15.0)):
+        g = sample_graph(n, int(density * n * (n - 1) / 200), rng)
+        M = _field_jacobian(g, DEFAULT_PRIME, np.random.default_rng(0))
+        ranks.append(engine._rank_mod_p(M.copy(), DEFAULT_PRIME))
+        assert ranks[-1] == _rank_mod_p_reference(M, DEFAULT_PRIME)
+    assert ranks == [218, 240, 446, 480, 720]
 
 
 def test_finite_field_agrees_with_float_on_small_batch():
