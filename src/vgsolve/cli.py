@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .engine import (
     DEFAULT_MASTER_SEED,
-    DEFAULT_SEED_COUNT,
     DEFAULT_TOLERANCE,
     _assemble_for_seed,
     derive_seeds,
@@ -135,10 +134,10 @@ def _load_graph(path: str):
 
 def cmd_check(args) -> int:
     g = _load_graph(args.path)
-    seeds = args.seeds or derive_seeds(DEFAULT_MASTER_SEED, DEFAULT_SEED_COUNT)
-    report = finite_solvability(g, seeds=seeds, tolerance=args.tolerance)
+    report = finite_solvability(g, seeds=args.seeds, tolerance=args.tolerance)
     if args.export_matrix:
-        export_matrix_market(_assemble_for_seed(g, seeds[0], None), args.export_matrix)
+        seed = (args.seeds or derive_seeds())[0]
+        export_matrix_market(_assemble_for_seed(g, seed, None), args.export_matrix)
     if args.format == "json":
         _emit(_json_dump(report.to_dict()))
     else:
@@ -163,8 +162,7 @@ def cmd_check(args) -> int:
 
 def cmd_components(args) -> int:
     g = _load_graph(args.path)
-    seeds = args.seeds or derive_seeds(DEFAULT_MASTER_SEED, DEFAULT_SEED_COUNT)
-    part = maximal_components(g, seeds=seeds, tolerance=args.tolerance)
+    part = maximal_components(g, seeds=args.seeds, tolerance=args.tolerance)
     if args.format == "json":
         _emit(_json_dump(part.to_dict()))
     else:

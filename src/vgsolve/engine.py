@@ -21,6 +21,7 @@ reaches rank 11n - 15.
 
 from __future__ import annotations
 
+import heapq
 import json
 import time
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .geometry import (
     _fundamental_minors,
     _generic_draw,
 )
-from .graph import ViewingGraph, _piece_roots, necessary_conditions
+from .graph import ViewingGraph, _dfs_articulation, necessary_conditions
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -345,6 +346,18 @@ def _low_spectrum(
     return s, smax, V
 
 
+def _band_verdict(s: np.ndarray, smax: float, tolerance: float) -> bool | None:
+    """The band rule on one spectral pass: full column rank when
+    q = s[0] / (tolerance * smax) is at least _BAND_HIGH, deficient when it
+    is at most _BAND_LOW, None (undecided) inside the band."""
+    floor = tolerance * smax
+    if s[0] >= _BAND_HIGH * floor:
+        return True
+    if s[0] <= _BAND_LOW * floor:
+        return False
+    return None
+
+
 def is_full_column_rank(
     system: JacobianSystem, tolerance: float = DEFAULT_TOLERANCE
 ) -> tuple[bool, float, float]:
@@ -533,12 +546,9 @@ def finite_solvability(
         if not verdicts:
             sigma_min, sigma_max = float(s[0]), smax
         verdicts.append(bool(s[0] > floor))
-        if s[0] >= _BAND_HIGH * floor:
-            solvable, rank_jp, path = True, expected, "float"
-            break
-        if s[0] <= _BAND_LOW * floor:
-            nullity = int(np.count_nonzero(s <= floor))
-            solvable, rank_jp, path = False, expected - nullity, "float"
+        solvable = _band_verdict(s, smax, tolerance)
+        if solvable is not None:
+            rank_jp, path = expected - int(np.count_nonzero(s <= floor)), "float"
             break
     else:
         rank = finite_field_rank(g)
@@ -589,32 +599,35 @@ class ComponentPartition:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _pendant_fixed(g: ViewingGraph, gauge: tuple[int, int]) -> set[int] | None:
-    """The nodes of a connected, uncertified g that are fixed with the gauge
-    edge, when degree-1 nodes decide them without a kernel; else None.
-
-    A degree-1 node keeps 11 - 7 = 4 degrees of freedom given its one
-    neighbour u, so nothing else is fixed with it: a gauge edge with a
-    degree-1 end fixes only its two ends (the stabiliser of P_u still moves
-    every other camera).  Otherwise the degree-1 nodes are exactly the free
-    ones when the rest of g is growth-certified.
-    """
-    deg = g.degrees
-    if deg[gauge[0]] == 1 or deg[gauge[1]] == 1:
-        return set(gauge)
-    core = [v for v in range(g.node_count) if deg[v] > 1]
-    if len(core) == g.node_count:
-        return None
-    relabel = {v: t for t, v in enumerate(core)}
-    rest = ViewingGraph(
-        len(core),
-        tuple((relabel[i], relabel[j]) for i, j in g.edges if deg[i] > 1 and deg[j] > 1),
-    )
-    return set(core) if _certificate(rest) else None
-
-
 def _iteration_seed(master: int, iteration: int) -> int:
     return int(np.random.SeedSequence((master, iteration)).generate_state(1)[0])
+
+
+def _fixed_nodes(
+    g: ViewingGraph, block: list[int], seed: int, tolerance: float
+) -> set[int] | None:
+    """The nodes of g's edges ``block`` fixed with its first edge as gauge,
+    or None when the block is finite solvable and all of them are.
+
+    A block the certificate covers takes no camera.  Any other takes one
+    kernel pass at ``seed``, whose own singular values go through the band
+    rule; inside the band the GF(p) rank decides.  A deficient block reads
+    the 12-row node blocks of that pass's kernel.
+    """
+    nodes = sorted({v for k in block for v in g.edges[k]})
+    relabel = {v: t for t, v in enumerate(nodes)}
+    sub = ViewingGraph(len(nodes), tuple(
+        (relabel[g.edges[k][0]], relabel[g.edges[k][1]]) for k in block))
+    if _certificate(sub):
+        return None
+    J = _assemble_for_seed(sub, seed, sub.edges[0]).matrix
+    s, smax, V = _low_spectrum(J, tolerance, "kernel")
+    kernel = V[:, s <= tolerance * smax]  # empty when the band says solvable
+    if kernel.shape[1] == 0 or (_band_verdict(s, smax, tolerance) is None
+                                and finite_field_rank(sub) == 12 * sub.node_count):
+        return None
+    norms = np.linalg.norm(kernel.reshape(len(nodes), 12, -1), axis=(1, 2))
+    return {nodes[t] for t in np.flatnonzero(norms <= NODE_BLOCK_REL_TOL * norms.max())}
 
 
 def maximal_components(
@@ -624,63 +637,42 @@ def maximal_components(
 ) -> ComponentPartition:
     """Partition the edges into maximal finite-solvable components.
 
-    Iteratively: gauge on the first unassigned edge, restrict to its
-    connected piece of the remaining subgraph, compute the kernel of the
-    augmented Jacobian, collect the nodes whose 12-row kernel blocks vanish,
-    and assign every remaining edge with both endpoints among them.  A
-    piece the growth certificate covers is assigned whole without a kernel,
-    and so is a piece that only its degree-1 nodes keep from being covered
-    (see _pendant_fixed).  A finite-solvable graph yields a single component
-    holding all edges.
+    A finite-solvable graph on 3 or more nodes is biconnected, so no
+    component crosses an articulation point; and a motion of one side of a
+    cut camera a extends to the other side (H -> P_a H is onto the 3x4
+    matrices), so a block's fixed nodes are those of its connected piece.
+    Hence the pending biconnected block holding the lowest unassigned edge is
+    gauged on that edge and decided (see _fixed_nodes): a bridge or a
+    solvable block is one component; otherwise its edges between fixed
+    nodes are, and the edges left over are split into blocks again.
+    Component k takes the seed _iteration_seed(seeds[0], k).
     """
     _check_tolerance(tolerance)
     master = int(seeds[0]) if seeds else derive_seeds()[0]
-    m = g.edge_count
-    assignment = [-1] * m
+    assignment = [-1] * g.edge_count
     components: list[Component] = []
-    iteration = 0
-    while -1 in assignment:
-        first = assignment.index(-1)
-        # connected piece (over remaining edges) containing the gauge edge
-        remaining = [k for k in range(m) if assignment[k] == -1]
-        roots = _piece_roots(g.node_count, (g.edges[k] for k in remaining))
-        piece = roots[g.edges[first][0]]
-        sub_edge_ids = [k for k in remaining if roots[g.edges[k][0]] == piece]
-        sub_nodes = sorted({v for k in sub_edge_ids for v in g.edges[k]})
-        relabel = {v: t for t, v in enumerate(sub_nodes)}
-        sub = ViewingGraph(
-            len(sub_nodes),
-            tuple((relabel[g.edges[k][0]], relabel[g.edges[k][1]]) for k in sub_edge_ids),
-        )
-        gauge = (relabel[g.edges[first][0]], relabel[g.edges[first][1]])
-        if _certificate(sub):  # finite solvable, so the kernel is empty
-            zero_local = set(range(len(sub_nodes)))
-        else:
-            zero_local = _pendant_fixed(sub, gauge)
-        if zero_local is None:
-            system = _assemble_for_seed(sub, _iteration_seed(master, iteration), gauge)
-            kernel = null_space_basis(system, tolerance)
-            if kernel.shape[1] == 0:
-                zero_local = set(range(len(sub_nodes)))
-            else:
-                blocks = kernel.reshape(len(sub_nodes), 12, -1)
-                norms = np.linalg.norm(blocks, axis=(1, 2))
-                zero_local = set(np.nonzero(norms <= NODE_BLOCK_REL_TOL * norms.max())[0].tolist())
-        comp_edges = [
-            k
-            for k in sub_edge_ids
-            if relabel[g.edges[k][0]] in zero_local and relabel[g.edges[k][1]] in zero_local
-        ]
-        if not comp_edges:
-            raise RuntimeError(
-                "component iteration assigned no edges; kernel thresholds are off"
-            )
+    pending = [(block[0], block) for block in _dfs_articulation(g)[2]]
+    heapq.heapify(pending)
+    while pending:
+        _, block = heapq.heappop(pending)
+        comp_edges = block
+        if len(block) > 1:
+            fixed = _fixed_nodes(g, block, _iteration_seed(master, len(components)), tolerance)
+            if fixed is not None:
+                comp_edges = [k for k in block if fixed.issuperset(g.edges[k])]
+                if not comp_edges:
+                    raise RuntimeError(
+                        "component iteration assigned no edges; kernel thresholds are off"
+                    )
+                rest = [k for k in block if not fixed.issuperset(g.edges[k])]
+                left = ViewingGraph(g.node_count, tuple(g.edges[k] for k in rest))
+                for part in _dfs_articulation(left)[2]:
+                    heapq.heappush(pending, (rest[part[0]], [rest[t] for t in part]))
         cid = len(components)
         for k in comp_edges:
             assignment[k] = cid
         nodes = sorted({v for k in comp_edges for v in g.edges[k]})
         components.append(Component(edges=tuple(comp_edges), nodes=tuple(nodes)))
-        iteration += 1
     return ComponentPartition(components=tuple(components), assignment=tuple(assignment))
 
 

@@ -183,48 +183,59 @@ def _piece_roots(n: int, edges) -> list[int]:
     return [find(v) for v in range(n)]
 
 
-def _dfs_articulation(g: ViewingGraph) -> tuple[int, list[int]]:
-    """Iterative low-link DFS; returns (#components, articulation points)."""
+def _dfs_articulation(g: ViewingGraph) -> tuple[int, list[int], list[list[int]]]:
+    """Iterative low-link DFS with an edge stack (Hopcroft-Tarjan).
+
+    Returns the number of connected pieces, the articulation points and the
+    biconnected blocks: the edge sets that no single node disconnects, each
+    as ascending edge indices.  Every edge lies in exactly one block; a
+    bridge is a block of its own.
+    """
     n = g.node_count
-    adj = g.adjacency
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    is_ap = [False] * n
-    timer = 0
-    components = 0
+    incident = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(g.edges):
+        incident[i].append((j, k))
+        incident[j].append((i, k))
+    disc, low, ptr = [-1] * n, [0] * n, [0] * n
+    via = [-1] * n  # tree edge into each node; -1 at a DFS root
+    mark = [0] * n  # edge-stack height where that tree edge was pushed
+    closes = [0] * n  # blocks a node closes as the parent of a subtree
+    edge_stack: list[int] = []
+    blocks: list[list[int]] = []
+    timer = components = 0
     for s in range(n):
         if disc[s] != -1:
             continue
         components += 1
         disc[s] = low[s] = timer
         timer += 1
-        root_children = 0
-        stack: list[tuple[int, int]] = [(s, 0)]
+        stack = [s]
         while stack:
-            v, ptr = stack[-1]
-            if ptr < len(adj[v]):
-                stack[-1] = (v, ptr + 1)
-                w = adj[v][ptr]
+            v = stack[-1]
+            if ptr[v] < len(incident[v]):
+                w, k = incident[v][ptr[v]]
+                ptr[v] += 1
                 if disc[w] == -1:
-                    parent[w] = v
-                    if v == s:
-                        root_children += 1
+                    via[w], mark[w] = k, len(edge_stack)
+                    edge_stack.append(k)
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, 0))
-                elif w != parent[v]:
+                    stack.append(w)
+                elif disc[w] < disc[v] and k != via[v]:  # back edge, seen once
+                    edge_stack.append(k)
                     low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if u != s and low[v] >= disc[u]:
-                        is_ap[u] = True
-        if root_children > 1:
-            is_ap[s] = True
-    return components, [v for v in range(n) if is_ap[v]]
+                continue
+            stack.pop()
+            if stack:
+                u = stack[-1]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:  # u separates v's subtree: close a block
+                    blocks.append(sorted(edge_stack[mark[v]:]))
+                    del edge_stack[mark[v]:]
+                    closes[u] += 1
+    # a root separates only when it closes two or more blocks
+    aps = [v for v in range(n) if closes[v] > (via[v] == -1)]
+    return components, aps, blocks
 
 
 def necessary_conditions(g: ViewingGraph) -> NecessaryConditionResult:
@@ -234,17 +245,15 @@ def necessary_conditions(g: ViewingGraph) -> NecessaryConditionResult:
     most two that share no common neighbor; an edge inside a triangle is
     exempt (a lone triangle is solvable even though all its degrees are 2).
     """
-    components, aps = _dfs_articulation(g)
+    components, aps, _ = _dfs_articulation(g)
     connected = components == 1
     biconnected = connected and not aps
     deg = g.degrees
     min_degree_ok = all(d >= 2 for d in deg)
-    no_adjacent_degree_two = True
-    adj_sets = [set(a) for a in g.adjacency]
-    for i, j in g.edges:
-        if deg[i] <= 2 and deg[j] <= 2 and not (adj_sets[i] & adj_sets[j]):
-            no_adjacent_degree_two = False
-            break
+    adj = g.adjacency
+    no_adjacent_degree_two = not any(
+        deg[i] <= 2 and deg[j] <= 2 and not set(adj[i]) & set(adj[j]) for i, j in g.edges
+    )
     edge_bound_ok = g.edge_count >= minimal_edge_count(g.node_count)
     return NecessaryConditionResult(
         connected=connected,

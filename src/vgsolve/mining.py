@@ -247,8 +247,8 @@ def sample_graph(n: int, m: int, rng: np.random.Generator) -> ViewingGraph:
     """Uniform m-edge graph on n nodes, redrawn until connected.
 
     When m < n - 1 a spanning connected graph cannot exist, so the first
-    draw is accepted as-is (such graphs are processed per connected piece
-    downstream and are never finite solvable).
+    draw is accepted as-is (such graphs are never finite solvable, and
+    maximal_components splits them into blocks like any other).
     """
     all_pairs = list(combinations(range(n), 2))
     if not 1 <= m <= len(all_pairs):

@@ -223,6 +223,24 @@ def test_components_square(square_file, capsys):
     assert "4 component(s)" in capsys.readouterr().out
 
 
+# finite solvable, but the first kernel pass of components lands inside the
+# ambiguity band (sigma_min / sigma_max = 2.2e-9): only the GF(p) rank
+# (228 = 12n) decides it
+IN_BAND_SOLVABLE = "".join(f"{i} {j}\n" for i, j in (
+    (2, 6), (2, 8), (8, 14), (3, 7), (15, 16), (1, 5), (4, 6), (14, 16), (3, 11), (3, 10),
+    (5, 18), (0, 8), (17, 18), (7, 18), (3, 9), (9, 14), (8, 10), (6, 11), (12, 13), (2, 5),
+    (13, 14), (14, 18), (8, 16), (10, 15), (0, 17), (8, 13), (1, 18), (0, 4), (4, 12)))
+
+
+def test_components_agree_with_check_inside_band(tmp_path, capsys):
+    p = tmp_path / "in_band.txt"
+    p.write_text(IN_BAND_SOLVABLE)
+    assert main(["check", str(p)]) == 0
+    assert "exact GF(p) rank" in capsys.readouterr().out
+    assert main(["components", str(p)]) == 0
+    assert capsys.readouterr().out.startswith("1 component(s)\n")
+
+
 def test_mine_text_and_csv(capsys):
     assert main(["mine", "5"]) == 0
     assert "2 candidates, 1 finite solvable" in capsys.readouterr().out

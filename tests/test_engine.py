@@ -1,6 +1,7 @@
 import json
 import time
 
+import networkx as nx
 import numpy as np
 import pytest
 import scipy.io
@@ -570,18 +571,34 @@ def trajectory(n, k, rng):
     return ViewingGraph(n, tuple(edges)), perm
 
 
-def test_components_on_gram_kernel_path():
-    # 19215 x 2400 takes the J^T J kernel branch.  Here sigma_next/sigma_max
-    # is 2.3e-6, so unless the kernel is split from the near-kernel its
-    # vanishing blocks read about 1e-6, at NODE_BLOCK_REL_TOL.
+def test_trajectory_halves_are_certified_blocks(monkeypatch):
+    # the middle camera cuts the graph into two blocks, each certified, so
+    # no kernel of the 19215 x 2400 system (or of a half) is taken
     g, perm = trajectory(200, 10, np.random.default_rng(293663143))
+    kernels = _count_kernels(monkeypatch)
     part = maximal_components(g)
+    assert kernels == []
     assert len(part.components) == 2
     assert -1 not in part.assignment
     halves = sorted(c.nodes for c in part.components)
     assert halves == sorted(
         (tuple(sorted(int(v) for v in perm[:101])), tuple(sorted(int(v) for v in perm[100:])))
     )
+
+
+def test_components_of_joined_strips(branch, monkeypatch):
+    # two 6-node triangle strips joined by the disjoint edges (0, 6) and
+    # (5, 11): biconnected, uncertified and not solvable, so the block takes
+    # one kernel; what it leaves over is a certified strip and two bridges
+    strips = [(o + i, o + i + d) for o in (0, 6) for d in (1, 2) for i in range(6 - d)]
+    g = ViewingGraph(12, tuple(strips) + ((0, 6), (5, 11)))
+    assert necessary_conditions(g).biconnected and _certificate(g) is None
+    kernels = _count_kernels(monkeypatch)
+    part = maximal_components(g, seeds=[3])
+    assert len(kernels) == 1
+    assert [len(c.edges) for c in part.components] == [9, 9, 1, 1]
+    assert part.components[0].nodes == tuple(range(6))
+    assert part.components[1].nodes == tuple(range(6, 12))
 
 
 def test_gram_path_report_is_deterministic():
@@ -837,21 +854,58 @@ def test_certificate_is_sound():
     assert decided[True] >= 100 and decided[False] >= 100
 
 
-def test_certified_pieces_are_assigned_without_kernel(monkeypatch):
-    # BOWTIE: the whole graph fails (cut vertex), so its first piece takes
-    # a kernel; the second triangle is certified and assigned whole
+def _count_kernels(monkeypatch):
+    """Record every kernel pass; maximal_components takes them through
+    engine._low_spectrum."""
+    low_spectrum = engine._low_spectrum
     kernels = []
-    null_space = engine.null_space_basis
 
-    def counted(*args, **kwargs):
-        kernels.append(1)
-        return null_space(*args, **kwargs)
+    def counted(J, tolerance, need):
+        if need == "kernel":
+            kernels.append(J.shape)
+        return low_spectrum(J, tolerance, need)
 
-    monkeypatch.setattr(engine, "null_space_basis", counted)
+    monkeypatch.setattr(engine, "_low_spectrum", counted)
+    return kernels
+
+
+def _kernel_components(g, master):
+    """The component loop with a kernel for every piece and no shortcut:
+    the connected piece of the remaining edges holding the lowest one,
+    gauged on that edge, and the edges between nodes whose 12-row kernel
+    blocks vanish."""
+    assignment = [-1] * g.edge_count
+    cid = 0
+    while -1 in assignment:
+        first = assignment.index(-1)
+        remaining = [k for k in range(g.edge_count) if assignment[k] == -1]
+        piece = nx.node_connected_component(
+            nx.Graph([g.edges[k] for k in remaining]), g.edges[first][0])
+        ids = [k for k in remaining if g.edges[k][0] in piece]
+        nodes = sorted(piece)
+        relabel = {v: t for t, v in enumerate(nodes)}
+        sub = ViewingGraph(len(nodes), tuple((relabel[i], relabel[j])
+                                             for i, j in (g.edges[k] for k in ids)))
+        kernel = null_space_basis(
+            engine._assemble_for_seed(sub, engine._iteration_seed(master, cid), sub.edges[0]))
+        fixed = set(nodes)
+        if kernel.shape[1]:
+            norms = np.linalg.norm(kernel.reshape(len(nodes), 12, -1), axis=(1, 2))
+            fixed = {nodes[t] for t in np.flatnonzero(
+                norms <= engine.NODE_BLOCK_REL_TOL * norms.max())}
+        for k in ids:
+            if fixed.issuperset(g.edges[k]):
+                assignment[k] = cid
+        cid += 1
+    return tuple(assignment)
+
+
+def test_certified_pieces_are_assigned_without_kernel(monkeypatch):
+    # BOWTIE: two certified blocks at a cut vertex, so no kernel at all
+    kernels = _count_kernels(monkeypatch)
     assert maximal_components(BOWTIE).assignment == (0, 0, 0, 1, 1, 1)
-    assert kernels == [1]
     assert maximal_components(TRIANGLE).assignment == (0, 0, 0)
-    assert kernels == [1]
+    assert kernels == []
 
 
 K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -860,27 +914,17 @@ K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 @pytest.mark.parametrize("g,expected", [
     # a pendant gauge edge is a component of its own, then the K4 whole
     (ViewingGraph(5, ((3, 4),) + K4_EDGES), (0, 1, 1, 1, 1, 1, 1)),
-    # the K4 left after the degree-1 node is certified: it comes first
+    # the certified K4 block comes first, then the bridge
     (ViewingGraph(5, K4_EDGES + ((3, 4),)), (0, 0, 0, 0, 0, 0, 1)),
-    # a path hanging off the K4: each of its edges is its own component
+    # a path hanging off the K4: each of its edges is a bridge
     (ViewingGraph(6, K4_EDGES + ((3, 4), (4, 5))), (0, 0, 0, 0, 0, 0, 1, 2)),
 ], ids=["pendant-gauge", "certified-rest", "hanging-path"])
 def test_pendant_pieces_are_assigned_without_kernel(monkeypatch, g, expected):
-    kernels = []
-    null_space = engine.null_space_basis
-
-    def counted(*args, **kwargs):
-        kernels.append(1)
-        return null_space(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "null_space_basis", counted)
+    kernels = _count_kernels(monkeypatch)
     assert maximal_components(g, seeds=[5]).assignment == expected
-    # the hanging path's inner node has degree 2, so its first piece needs
-    # a kernel; the pieces after it do not
-    assert len(kernels) == (1 if g.node_count == 6 else 0)
+    assert kernels == []
     # the kernel of every piece gives the same partition
-    monkeypatch.setattr(engine, "_pendant_fixed", lambda sub, gauge: None)
-    assert maximal_components(g, seeds=[5]).assignment == expected
+    assert _kernel_components(g, 5) == expected
 
 
 def _pendant_cases():
@@ -896,24 +940,44 @@ def _pendant_cases():
         yield ViewingGraph(nodes, tuple(edges))
 
 
-def test_pendant_shortcut_agrees_with_kernel(monkeypatch):
-    # graphs with degree-1 nodes, pendant edges anywhere in the edge order:
-    # the partition is the one the kernel of every piece gives
-    decided = []
-    pendant_fixed = engine._pendant_fixed
+def _glued_cases():
+    """2-4 dense pieces, each glued to the graph so far at one camera or
+    joined to it by one edge, plus 0-2 hanging chains of 1-3 edges; labels
+    and edge order shuffled."""
+    rng = np.random.default_rng(1515)
+    for _ in range(60):
+        edges, n = [], 0
+        for p in range(int(rng.integers(2, 5))):
+            size = int(rng.integers(3, 8))
+            pairs = size * (size - 1) // 2
+            piece = sample_graph(size, int(rng.integers(min(2 * size, pairs), pairs + 1)), rng)
+            glued = p > 0 and rng.random() < 0.5
+            labels = [int(rng.integers(0, n))] if glued else []  # the shared camera
+            if p and not glued:
+                edges.append((int(rng.integers(0, n)), n))  # the joining edge
+            labels += range(n, n + size - len(labels))
+            edges += [(labels[i], labels[j]) for i, j in piece.edges]
+            n += size - glued
+        for _ in range(int(rng.integers(0, 3))):
+            end = int(rng.integers(0, n))
+            for _ in range(int(rng.integers(1, 4))):
+                edges.append((end, n))
+                end, n = n, n + 1
+        perm = rng.permutation(n)
+        edges = [(int(perm[i]), int(perm[j])) for i, j in edges]
+        yield ViewingGraph(n, tuple(edges[int(t)] for t in rng.permutation(len(edges))))
 
-    def counted(sub, gauge):
-        fixed = pendant_fixed(sub, gauge)
-        decided.append(fixed is not None)
-        return fixed
 
-    cases = list(_pendant_cases())
-    monkeypatch.setattr(engine, "_pendant_fixed", counted)
-    shortcut = [maximal_components(g, seeds=[t]).assignment for t, g in enumerate(cases)]
-    assert sum(decided) >= 40
-    monkeypatch.setattr(engine, "_pendant_fixed", lambda sub, gauge: None)
+def test_blocks_agree_with_kernel_reference(monkeypatch):
+    # graphs with pendant nodes and glued pieces: the block partition is the
+    # one the kernel of every connected piece gives
+    cases = list(_pendant_cases()) + list(_glued_cases())
+    kernels = _count_kernels(monkeypatch)
+    blocks = [maximal_components(g, seeds=[t]).assignment for t, g in enumerate(cases)]
+    taken = len(kernels)
     for t, g in enumerate(cases):
-        assert maximal_components(g, seeds=[t]).assignment == shortcut[t], g.edges
+        assert _kernel_components(g, t) == blocks[t], g.edges
+    assert 0 < taken < len(kernels) - taken
 
 
 def _uniform_graph(n, m, seed):
@@ -962,6 +1026,32 @@ def test_components_no_cliff_with_pendant_node(tmp_path, capsys):
     assert time.perf_counter() - t0 < 30.0
     payload = json.loads(capsys.readouterr().out)
     assert sorted(len(c["edges"]) for c in payload["components"]) == [1, 40_000]
+
+
+def test_components_no_cliff_on_long_path(tmp_path, capsys):
+    # 2999 bridges: one block DFS, no kernel and no loop over the rest
+    path = tmp_path / "path.txt"
+    path.write_text("".join(f"{v} {v + 1}\n" for v in range(2999)))
+    t0 = time.perf_counter()
+    assert main(["components", str(path)]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    assert capsys.readouterr().out.startswith("2999 component(s)\n")
+
+
+@pytest.mark.parametrize("g,sizes", [(K23, [6]), (SQUARE, [1, 1, 1, 1])],
+                         ids=["K23", "SQUARE"])
+def test_in_band_block_takes_exact_rank(g, sizes, monkeypatch):
+    # the one kernel pass lands inside the band, so the GF(p) rank decides:
+    # K23 is solvable and stays whole, SQUARE reads that pass's kernel
+    returned = _in_band_spectrum(monkeypatch, 2)
+    part = maximal_components(g, seeds=[4])
+    assert [len(c.edges) for c in part.components] == sizes
+    assert len(returned) == 1
+    # on a block too large for the exact rank, its named error
+    rows, cols = 10 * g.edge_count + g.node_count + 15, 12 * g.node_count
+    monkeypatch.setattr(engine, "_DENSE_SVD_MAX_ENTRIES", rows * cols - 1)
+    with pytest.raises(RankComputationError, match=f"{rows}x{cols}"):
+        maximal_components(g, seeds=[4])
 
 
 def test_certificate_no_cliff_on_triangle_free_graph():

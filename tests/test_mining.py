@@ -172,8 +172,8 @@ def test_huge_thread_count_capped_by_tasks(monkeypatch):
 
 
 def test_rejected_sweep_sample_is_assembled_only_for_its_components(monkeypatch):
-    # 6 edges on 12 nodes: every sample fails a necessary condition, so no
-    # rank test runs before maximal_components
+    # every sample below fails a necessary condition, so no rank test runs
+    # before maximal_components
     import vgsolve.engine as engine
     import vgsolve.mining as mining
 
@@ -195,10 +195,16 @@ def test_rejected_sweep_sample_is_assembled_only_for_its_components(monkeypatch)
 
     monkeypatch.setattr(engine, "assemble_jacobian", counted_assemble)
     monkeypatch.setattr(mining, "maximal_components", counted_components)
+    # 6 edges on 12 nodes: forests, whose edges are all bridges, so nothing
+    # is assembled inside maximal_components either
     res = density_sweep(12, 10.0, 4, seed=1)
     assert res.fin_solv_count == 0
-    # every sample reaches maximal_components; degree-1 nodes decide some
-    # of its pieces there without an assembly
+    assert outside == [] and len(entered) == 4 and inside == []
+    # 13 edges on 12 nodes (20%, seed 1): the samples keep blocks that
+    # need a kernel, and those are assembled inside maximal_components only
+    entered.clear()
+    res = density_sweep(12, 20.0, 4, seed=1)
+    assert res.fin_solv_count == 0
     assert outside == [] and len(entered) == 4 and len(inside) >= 1
 
 
