@@ -26,7 +26,13 @@ from .engine import (
     matrix_dims,
     maximal_components,
 )
-from .graph import GraphParseError, GraphValidationError, parse_edge_list, to_edge_list
+from .graph import (
+    GraphParseError,
+    GraphValidationError,
+    _dfs_articulation,
+    parse_edge_list,
+    to_edge_list,
+)
 from .mining import density_sweep, mine_minimal
 
 EXIT_SOLVABLE = 0
@@ -119,9 +125,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+    """Write one command's output.  A reader that has closed the pipe
+    (``| head -1``) wants no more of it, which is no error: the command
+    keeps its exit code, and fd 1 goes to os.devnull so that the
+    interpreter's last flush of what is still buffered stays silent."""
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _json_dump(payload: dict) -> str:
@@ -142,10 +156,13 @@ def cmd_check(args) -> int:
         _emit(_json_dump(report.to_dict()))
     else:
         verdict = "finite solvable" if report.finite_solvable else "NOT finite solvable"
-        sigmas = (
-            "n/a (growth certificate)" if report.path == "certificate"
-            else f"{report.sigma_min:.3e} / {report.sigma_max:.3e} (tolerance {report.tolerance:g})"
-        )
+        if report.path == "certificate":
+            sigmas = "n/a (growth certificate)"
+        elif report.path == "blocks":
+            sigmas = f"n/a (decided by its {len(_dfs_articulation(g)[2])} biconnected blocks)"
+        else:
+            sigmas = (f"{report.sigma_min:.3e} / {report.sigma_max:.3e} "
+                      f"(tolerance {report.tolerance:g})")
         if report.path == "exact":
             sigmas += ", no seed decisive: decided by the exact GF(p) rank"
         lines = [

@@ -399,9 +399,12 @@ class SolvabilityReport:
 
     ``path`` says how it was reached: "certificate" (the growth
     certificate, no camera drawn: no sigmas, no seeds evaluated), "float"
-    (the last seed in ``seeds`` decided) or "exact" (no seed decided, the
-    GF(p) rank did).  ``seeds`` are the seeds evaluated, ``agreement`` the
-    float verdict of each, and the sigmas are those of the first.
+    (the last seed in ``seeds`` decided), "exact" (no seed decided, the
+    GF(p) rank did) or "blocks" (a graph that is not biconnected, whose
+    ``rank_jp`` is the sum over its biconnected blocks, each decided on
+    its own: no whole-graph sigmas, no seeds listed).  ``seeds`` are the
+    seeds evaluated, ``agreement`` the float verdict of each, and the
+    sigmas are those of the first.
     """
 
     finite_solvable: bool
@@ -491,6 +494,15 @@ def _certificate(g: ViewingGraph) -> bool | None:
     return None
 
 
+def _block_graph(g: ViewingGraph, block: list[int]) -> tuple[list[int], ViewingGraph]:
+    """The nodes of g's edges ``block``, ascending, and the graph of those
+    edges alone with node ``nodes[t]`` relabelled t."""
+    nodes = sorted({v for k in block for v in g.edges[k]})
+    relabel = {v: t for t, v in enumerate(nodes)}
+    return nodes, ViewingGraph(len(nodes), tuple(
+        (relabel[g.edges[k][0]], relabel[g.edges[k][1]]) for k in block))
+
+
 def finite_solvability(
     g: ViewingGraph,
     seeds: list[int] | tuple[int, ...] | None = None,
@@ -499,8 +511,9 @@ def finite_solvability(
     """Decide finite solvability by the full-rank test at a random generic
     configuration: the seeds are tried in order and the first decisive one
     decides.  A graph the growth certificate covers is reported solvable
-    without a camera drawn (see _certificate); a necessary-condition failure
-    does not short-cut, since ``rank_jp`` needs the rank test.
+    without a camera drawn (see _certificate); a biconnected graph that
+    fails a necessary condition still takes the rank test, since
+    ``rank_jp`` needs it.
 
     Each seed costs one spectral pass.  It decides when its ratio
     q = sigma_min / (tolerance * sigma_max) lies outside the band
@@ -510,9 +523,16 @@ def finite_solvability(
     over GF(p) does (``path`` "exact"): full rank mod p proves full rank
     over Q.
 
-    Disconnected graphs come out rank-deficient automatically (the extra
-    pieces keep their own projective freedom), so no special casing is
-    needed; per-piece structure is available from maximal_components.
+    A graph on 3 or more nodes that is not biconnected is not finite
+    solvable, and its ``rank_jp`` is the sum over its biconnected blocks
+    (``path`` "blocks"): the kernel of the camera-block Jacobian is the
+    fibred product of the blocks' kernels over the cut cameras, and each
+    block's restriction onto a cut camera a is onto (H -> P_a H maps the
+    4x4 matrices onto the 3x4 ones), so every extra (block, cut camera)
+    incidence removes 12 kernel dimensions and 12 columns alike.  A bridge
+    adds 7 (the dof of F), a node without edges 0, and any other block the
+    ``rank_jp`` of its own report; a block is biconnected, so that report
+    takes one of the paths above.
     """
     _check_tolerance(tolerance)
     if seeds is None:
@@ -525,17 +545,30 @@ def finite_solvability(
     n = g.node_count
     t0 = time.perf_counter()
     expected = 11 * n - 15
-    if _certificate(g):
+    # a graph decided without drawing the whole graph's cameras
+    undrawn = None
+    certified = _certificate(g)
+    if certified:
+        undrawn = expected, "certificate"
+    elif certified is False:  # only a graph on 3 or more nodes fails a condition
+        pieces, cuts, blocks = _dfs_articulation(g)
+        if pieces > 1 or cuts:
+            undrawn = sum(
+                7 if len(block) == 1
+                else finite_solvability(_block_graph(g, block)[1], seeds, tolerance).rank_jp
+                for block in blocks), "blocks"
+    if undrawn is not None:
+        rank_jp, path = undrawn
         return SolvabilityReport(
-            finite_solvable=True,
-            rank_jp=expected,
+            finite_solvable=path == "certificate",
+            rank_jp=rank_jp,
             expected_rank=expected,
             sigma_min=None,
             sigma_max=None,
             tolerance=tolerance,
             seeds=(),
             agreement=(),
-            path="certificate",
+            path=path,
             wall_time=time.perf_counter() - t0,
         )
     verdicts: list[bool] = []
@@ -614,10 +647,7 @@ def _fixed_nodes(
     rule; inside the band the GF(p) rank decides.  A deficient block reads
     the 12-row node blocks of that pass's kernel.
     """
-    nodes = sorted({v for k in block for v in g.edges[k]})
-    relabel = {v: t for t, v in enumerate(nodes)}
-    sub = ViewingGraph(len(nodes), tuple(
-        (relabel[g.edges[k][0]], relabel[g.edges[k][1]]) for k in block))
+    nodes, sub = _block_graph(g, block)
     if _certificate(sub):
         return None
     J = _assemble_for_seed(sub, seed, sub.edges[0]).matrix

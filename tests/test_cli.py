@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,49 @@ def test_check_exact_path_text(k23_file, monkeypatch, capsys):
     assert "no seed decisive: decided by the exact GF(p) rank" in out
     assert "rank: 40 (expected 40)" in out
     assert "seeds: [1, 2] agreement: [False, False]" in out
+
+
+def _trajectory_text(n, k):
+    """Cameras along a path linked to their k nearest successors, minus every
+    link across the middle camera: two certified halves sharing one camera."""
+    split = n // 2
+    return "".join(f"{i} {j}\n" for i in range(n) for j in range(i + 1, min(n, i + k + 1))
+                   if not i < split < j)
+
+
+def test_check_multi_block_graph_text_and_json(tmp_path, capsys):
+    p = tmp_path / "trajectory.txt"
+    p.write_text(_trajectory_text(60, 6))
+    assert main(["--format", "json", "check", str(p)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["finite_solvable"] is False
+    assert payload["rank_jp"] == payload["expected_rank"] - 4 == 641
+    assert payload["path"] == "blocks"
+    assert payload["sigma_min"] is None and payload["sigma_max"] is None
+    assert payload["seeds"] == [] and payload["agreement"] == []
+    assert main(["check", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert "verdict: NOT finite solvable" in out
+    assert "rank: 641 (expected 645)" in out
+    assert "sigma_min/sigma_max: n/a (decided by its 2 biconnected blocks)" in out
+
+
+def test_closed_output_pipe_is_no_error(tmp_path):
+    # the partition of a 3000-node path is far longer than a pipe buffer, so
+    # the reader closes the pipe while the command still writes
+    p = tmp_path / "path.txt"
+    p.write_text("".join(f"{v} {v + 1}\n" for v in range(2999)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen([sys.executable, "-m", "vgsolve", "components", str(p)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"2999 component(s)\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_check_json_deterministic_modulo_timing(triangle_file, capsys):

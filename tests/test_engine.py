@@ -168,6 +168,11 @@ def test_wide_system_null_space(branch):
 TEN_TRIANGLES = ViewingGraph(
     30, tuple((3 * t + a, 3 * t + b) for t in range(10) for a, b in ((0, 1), (1, 2), (0, 2)))
 )
+# two 6-node triangle strips joined by the disjoint edges (0, 6) and (5, 11):
+# biconnected, uncertified and not solvable, so every verdict on it takes the
+# whole-graph rank test
+JOINED_STRIPS = ViewingGraph(12, tuple(
+    (o + i, o + i + d) for o in (0, 6) for d in (1, 2) for i in range(6 - d)) + ((0, 6), (5, 11)))
 GRAM_PATH_CASES = [
     TRIANGLE,
     K4_MINUS_EDGE,
@@ -216,7 +221,7 @@ def test_failed_cholesky_raises():
         _low_ritz_pairs(J, indefinite, 1.0, 1e-8, need="verdict")
 
 
-@pytest.mark.parametrize("g,branch", [(SQUARE, "dense"), (TEN_TRIANGLES, "gram")],
+@pytest.mark.parametrize("g,branch", [(SQUARE, "dense"), (JOINED_STRIPS, "gram")],
                          indirect=["branch"])
 def test_one_spectral_pass_per_seed(g, branch, monkeypatch):
     calls = []
@@ -281,7 +286,7 @@ def test_rank_jp_matches_field_rank(branch):
     # rank_jp = rank(J) - n - 15, and the exact rank of J over GF(p) is an
     # oracle for rank(J) at a generic point
     rng = np.random.default_rng(12)
-    checked = 0
+    checked = whole = 0
     while checked < 20:
         n = int(rng.integers(5, 16))
         m = int(rng.integers(n, 2 * n + 1))
@@ -292,7 +297,10 @@ def test_rank_jp_matches_field_rank(branch):
         rep = finite_solvability(g, seeds=[1, 2, 3])
         assert not rep.finite_solvable
         assert rep.rank_jp == exact - n - 15
+        whole += rep.path in ("float", "exact")
         checked += 1
+    # the rest are not biconnected and take their rank_jp from their blocks
+    assert whole >= 1
 
 
 def test_beyond_column_cap_raises_named_error(monkeypatch):
@@ -409,11 +417,12 @@ def test_no_decisive_seed_takes_exact_rank(g, solvable, rank_jp, monkeypatch):
 
 
 def _n100_agreement_graphs():
-    """Three 100-node graphs the certificate does not certify: two uniform
-    ones that fail a necessary condition (deficient) and a triangle-free
-    bipartite one that is finite solvable."""
-    rng = np.random.default_rng(100)
-    graphs = [sample_graph(100, m, rng) for m in (297, 310)]
+    """Three biconnected 100-node graphs the certificate does not certify:
+    two uniform ones with an edge between two degree-2 nodes outside a
+    triangle (deficient) and a triangle-free bipartite one that is finite
+    solvable."""
+    graphs = [sample_graph(100, m, np.random.default_rng(seed))
+              for m, seed in ((297, 163), (310, 2))]
     pairs = [(i, 50 + j) for i in range(50) for j in range(50)]
     pick = np.random.default_rng(1).choice(len(pairs), size=300, replace=False)
     graphs.append(ViewingGraph(100, tuple(sorted(pairs[k] for k in pick))))
@@ -423,7 +432,7 @@ def _n100_agreement_graphs():
 @pytest.mark.parametrize("g", _n100_agreement_graphs(), ids=["uniform297", "uniform310",
                                                            "bipartite300"])
 def test_float_verdict_agrees_with_exact_rank_at_n100(g):
-    assert _certificate(g) is not True
+    assert _certificate(g) is not True and necessary_conditions(g).biconnected
     t0 = time.perf_counter()
     rep = finite_solvability(g)
     exact = finite_field_rank(g)
@@ -587,11 +596,9 @@ def test_trajectory_halves_are_certified_blocks(monkeypatch):
 
 
 def test_components_of_joined_strips(branch, monkeypatch):
-    # two 6-node triangle strips joined by the disjoint edges (0, 6) and
-    # (5, 11): biconnected, uncertified and not solvable, so the block takes
-    # one kernel; what it leaves over is a certified strip and two bridges
-    strips = [(o + i, o + i + d) for o in (0, 6) for d in (1, 2) for i in range(6 - d)]
-    g = ViewingGraph(12, tuple(strips) + ((0, 6), (5, 11)))
+    # JOINED_STRIPS is one uncertified block, so it takes one kernel; what
+    # it leaves over is a certified strip and two bridges
+    g = JOINED_STRIPS
     assert necessary_conditions(g).biconnected and _certificate(g) is None
     kernels = _count_kernels(monkeypatch)
     part = maximal_components(g, seeds=[3])
@@ -601,10 +608,12 @@ def test_components_of_joined_strips(branch, monkeypatch):
     assert part.components[1].nodes == tuple(range(6, 12))
 
 
-def test_gram_path_report_is_deterministic():
-    g, _ = trajectory(200, 10, np.random.default_rng(293663143))
+def test_gram_path_report_is_deterministic(monkeypatch):
+    monkeypatch.setattr(engine, "_DENSE_SVD_MAX_ENTRIES", 0)
+    g = JOINED_STRIPS
     first = finite_solvability(g).to_dict()
     second = finite_solvability(g).to_dict()
+    assert first["path"] == "float"
     first.pop("wall_time")
     second.pop("wall_time")
     assert first == second
@@ -1067,3 +1076,124 @@ def test_certificate_no_cliff_on_triangle_free_graph():
     t0 = time.perf_counter()
     assert _certificate(g) is None
     assert time.perf_counter() - t0 < 5.0
+
+
+def _multi_block_cases():
+    """Graphs that are not biconnected: 2-4 pieces, each glued to the graph
+    so far at one camera, joined to it by one edge or left apart, plus 0-2
+    hanging chains of 1-3 edges; labels and edge order shuffled.  A piece is
+    a dense random graph, or now and then K23 (open, solvable) or SQUARE
+    (open, deficient), so some blocks take the rank test.  Last, a graph
+    with a node on no edge, which only the library can build."""
+    rng = np.random.default_rng(1919)
+    for _ in range(110):
+        edges, n = [], 0
+        for p in range(int(rng.integers(2, 5))):
+            pick = rng.random()
+            if pick < 0.15:
+                piece = K23
+            elif pick < 0.25:
+                piece = SQUARE
+            else:
+                size = int(rng.integers(3, 8))
+                pairs = size * (size - 1) // 2
+                piece = sample_graph(size, int(rng.integers(min(2 * size, pairs), pairs + 1)), rng)
+            size = piece.node_count
+            how = int(rng.integers(0, 3)) if p else None  # glued, joined, apart
+            labels = [int(rng.integers(0, n))] if how == 0 else []
+            if how == 1:
+                edges.append((int(rng.integers(0, n)), n))
+            labels += range(n, n + size - len(labels))
+            edges += [(labels[i], labels[j]) for i, j in piece.edges]
+            n += size - (how == 0)
+        for _ in range(int(rng.integers(0, 3))):
+            end = int(rng.integers(0, n))
+            for _ in range(int(rng.integers(1, 4))):
+                edges.append((end, n))
+                end, n = n, n + 1
+        perm = rng.permutation(n)
+        edges = [(int(perm[i]), int(perm[j])) for i, j in edges]
+        yield ViewingGraph(n, tuple(edges[int(t)] for t in rng.permutation(len(edges))))
+    yield ViewingGraph(8, K4_EDGES + ((3, 4), (4, 5), (5, 3), (5, 6)))  # node 7 on no edge
+
+
+def test_block_sum_matches_field_rank(branch, monkeypatch):
+    # rank_jp of a graph that is not biconnected is the sum over its blocks;
+    # the exact rank of the whole graph's J over GF(p) is the oracle
+    passes = []
+    low_spectrum = engine._low_spectrum
+
+    def counted(J, tolerance, need):
+        passes.append(J.shape)
+        return low_spectrum(J, tolerance, need)
+
+    monkeypatch.setattr(engine, "_low_spectrum", counted)
+    cases = list(_multi_block_cases())
+    for t, g in enumerate(cases):
+        n = g.node_count
+        rep = finite_solvability(g, seeds=[t, t + 1, t + 2])
+        assert (rep.finite_solvable, rep.path) == (False, "blocks"), g.edges
+        assert rep.rank_jp == 11 * n - 15 - (12 * n - _exact_rank(g, seed=t)), g.edges
+        assert (rep.sigma_min, rep.sigma_max, rep.seeds, rep.agreement) == (None, None, (), ())
+        # every pass is a block's own system, never the whole graph's
+        assert all(cols < 12 * n for _, cols in passes)
+    assert len(cases) > 100 and cases[-1].degrees[-1] == 0
+    assert len(passes) >= 20
+
+
+def test_block_sum_invariant_under_relabeling():
+    rng = np.random.default_rng(20)
+    for g in _multi_block_cases():
+        perm = [int(v) for v in rng.permutation(g.node_count)]
+        h = g.permuted(perm)
+        h = ViewingGraph(h.node_count, tuple(h.edges[int(k)] for k in rng.permutation(h.edge_count)))
+        base, moved = finite_solvability(g), finite_solvability(h)
+        assert (moved.finite_solvable, moved.rank_jp, moved.path) == \
+            (base.finite_solvable, base.rank_jp, base.path), g.edges
+
+
+def test_exact_cap_applies_per_block(monkeypatch):
+    # every pass inside the band, and the exact rank capped below the whole
+    # graph's 70 x 60 system but above the SQUARE block's 59 x 48: the block's
+    # GF(p) rank decides, so no whole-graph rank is needed
+    g = ViewingGraph(5, SQUARE.edges + ((3, 4),))
+    reference = 11 * 5 - 15 - (12 * 5 - _exact_rank(g, seed=0))
+    returned = _in_band_spectrum(monkeypatch, 10)
+    monkeypatch.setattr(engine, "_DENSE_SVD_MAX_ENTRIES", 70 * 60 - 1)
+    with pytest.raises(RankComputationError, match="70x60"):
+        finite_field_rank(g)
+    rep = finite_solvability(g, seeds=[4, 5, 6])
+    assert (rep.finite_solvable, rep.rank_jp, rep.path) == (False, 35, "blocks")
+    assert rep.rank_jp == reference == 28 + 7
+    assert len(returned) == 3  # the SQUARE block's three seeds, all in the band
+
+
+def _trajectory_file(tmp_path, n):
+    g, _ = trajectory(n, 6, np.random.default_rng(n))
+    path = tmp_path / f"trajectory{n}.txt"
+    path.write_text(to_edge_list(g))
+    return path
+
+
+def _pendant_file(tmp_path):
+    g = _uniform_graph(2000, 40_000, 3)
+    path = tmp_path / "pendant.txt"
+    path.write_text(to_edge_list(ViewingGraph(2001, g.edges + ((0, 2000),))))
+    return path
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: _trajectory_file(tmp_path, 2000),
+    lambda tmp_path: _trajectory_file(tmp_path, 5000),
+    _pendant_file,
+], ids=["trajectory2000", "trajectory5000", "pendant2001"])
+def test_check_no_cliff_on_multi_block_graph(make, tmp_path, capsys):
+    # beyond the rank test's 8000 columns, but each block is certified: one
+    # camera short of solvable, and no factor of the whole graph
+    path = make(tmp_path)
+    t0 = time.perf_counter()
+    assert main(["--format", "json", "check", str(path)]) == 1
+    assert time.perf_counter() - t0 < 30.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rank_jp"] == payload["expected_rank"] - 4
+    assert payload["path"] == "blocks" and payload["finite_solvable"] is False

@@ -156,6 +156,9 @@ def test_certificate_invariant_under_relabeling_and_edge_order(g, data):
     perm = data.draw(st.permutations(range(g.node_count)))
     order = data.draw(st.permutations(range(g.edge_count)))
     h = ViewingGraph(g.node_count, tuple(g.permuted(perm).edges[k] for k in order))
-    assert _certificate(h) == _certificate(g)
+    certified = _certificate(g)
+    assert _certificate(h) == certified
     paths = [finite_solvability(x, seeds=[1]).path for x in (g, h)]
-    assert paths[0] == paths[1] == ("certificate" if _certificate(g) else "float")
+    # a graph that is not biconnected takes its rank_jp from its blocks
+    split = certified is False and not necessary_conditions(g).biconnected
+    assert paths[0] == paths[1] == ("certificate" if certified else "blocks" if split else "float")
