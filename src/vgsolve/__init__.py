@@ -47,6 +47,7 @@ from .geometry import (
     random_generic_configuration,
 )
 from .graph import (
+    BlockCut,
     GraphParseError,
     GraphValidationError,
     NecessaryConditionResult,

@@ -26,13 +26,7 @@ from .engine import (
     matrix_dims,
     maximal_components,
 )
-from .graph import (
-    GraphParseError,
-    GraphValidationError,
-    _dfs_articulation,
-    parse_edge_list,
-    to_edge_list,
-)
+from .graph import GraphParseError, GraphValidationError, parse_edge_list, to_edge_list
 from .mining import density_sweep, mine_minimal
 
 EXIT_SOLVABLE = 0
@@ -142,6 +136,14 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _csv(result) -> str:
+    """A header and one row of the scalar entries of ``result.to_dict()``."""
+    row = {k: v for k, v in result.to_dict().items() if not isinstance(v, list)}
+    buf = io.StringIO()
+    csv.writer(buf).writerows([row.keys(), row.values()])
+    return buf.getvalue()
+
+
 def _load_graph(path: str):
     return parse_edge_list(Path(path).read_text())
 
@@ -159,7 +161,7 @@ def cmd_check(args) -> int:
         if report.path == "certificate":
             sigmas = "n/a (growth certificate)"
         elif report.path == "blocks":
-            sigmas = f"n/a (decided by its {len(_dfs_articulation(g)[2])} biconnected blocks)"
+            sigmas = f"n/a (decided by its {len(g.block_cut.blocks)} biconnected blocks)"
         else:
             sigmas = (f"{report.sigma_min:.3e} / {report.sigma_max:.3e} "
                       f"(tolerance {report.tolerance:g})")
@@ -201,11 +203,7 @@ def cmd_mine(args) -> int:
     if args.format == "json":
         _emit(_json_dump(result.to_dict()))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "edge_target", "candidates", "fin_solv"])
-        writer.writerow([result.n, result.edge_target, result.candidates, result.fin_solv])
-        _emit(buf.getvalue())
+        _emit(_csv(result))
     else:
         _emit(
             f"n={result.n} edges={result.edge_target}: "
@@ -223,17 +221,7 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         _emit(_json_dump(result.to_dict()))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["n", "density_percent", "samples", "fin_solv_count",
-             "component_count_min", "component_count_max", "seed"]
-        )
-        writer.writerow(
-            [result.n, result.density_percent, result.samples, result.fin_solv_count,
-             result.component_count_min, result.component_count_max, result.seed]
-        )
-        _emit(buf.getvalue())
+        _emit(_csv(result))
     else:
         _emit(
             f"n={result.n} density={result.density_percent}%: "

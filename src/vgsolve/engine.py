@@ -40,7 +40,7 @@ from .geometry import (
     _fundamental_minors,
     _generic_draw,
 )
-from .graph import ViewingGraph, _dfs_articulation, necessary_conditions
+from .graph import ViewingGraph, necessary_conditions
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -494,7 +494,7 @@ def _certificate(g: ViewingGraph) -> bool | None:
     return None
 
 
-def _block_graph(g: ViewingGraph, block: list[int]) -> tuple[list[int], ViewingGraph]:
+def _block_graph(g: ViewingGraph, block: tuple[int, ...]) -> tuple[list[int], ViewingGraph]:
     """The nodes of g's edges ``block``, ascending, and the graph of those
     edges alone with node ``nodes[t]`` relabelled t."""
     nodes = sorted({v for k in block for v in g.edges[k]})
@@ -551,7 +551,7 @@ def finite_solvability(
     if certified:
         undrawn = expected, "certificate"
     elif certified is False:  # only a graph on 3 or more nodes fails a condition
-        pieces, cuts, blocks = _dfs_articulation(g)
+        pieces, cuts, blocks = g.block_cut
         if pieces > 1 or cuts:
             undrawn = sum(
                 7 if len(block) == 1
@@ -637,7 +637,7 @@ def _iteration_seed(master: int, iteration: int) -> int:
 
 
 def _fixed_nodes(
-    g: ViewingGraph, block: list[int], seed: int, tolerance: float
+    g: ViewingGraph, block: tuple[int, ...], seed: int, tolerance: float
 ) -> set[int] | None:
     """The nodes of g's edges ``block`` fixed with its first edge as gauge,
     or None when the block is finite solvable and all of them are.
@@ -681,7 +681,7 @@ def maximal_components(
     master = int(seeds[0]) if seeds else derive_seeds()[0]
     assignment = [-1] * g.edge_count
     components: list[Component] = []
-    pending = [(block[0], block) for block in _dfs_articulation(g)[2]]
+    pending = [(block[0], block) for block in g.block_cut.blocks]
     heapq.heapify(pending)
     while pending:
         _, block = heapq.heappop(pending)
@@ -696,8 +696,8 @@ def maximal_components(
                     )
                 rest = [k for k in block if not fixed.issuperset(g.edges[k])]
                 left = ViewingGraph(g.node_count, tuple(g.edges[k] for k in rest))
-                for part in _dfs_articulation(left)[2]:
-                    heapq.heappush(pending, (rest[part[0]], [rest[t] for t in part]))
+                for part in left.block_cut.blocks:
+                    heapq.heappush(pending, (rest[part[0]], tuple(rest[t] for t in part)))
         cid = len(components)
         for k in comp_edges:
             assignment[k] = cid

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 __all__ = [
+    "BlockCut",
     "GraphParseError",
     "GraphValidationError",
     "ViewingGraph",
@@ -33,6 +35,17 @@ class GraphParseError(ValueError):
 
 class GraphValidationError(ValueError):
     """Structurally invalid graph (self-loop, duplicate edge, bad node id)."""
+
+
+class BlockCut(NamedTuple):
+    """A graph's connected pieces, articulation points and biconnected
+    blocks: the edge sets that no single node disconnects, each as ascending
+    edge indices.  Every edge lies in exactly one block; a bridge is a block
+    of its own."""
+
+    pieces: int
+    cuts: tuple[int, ...]
+    blocks: tuple[tuple[int, ...], ...]
 
 
 def minimal_edge_count(n: int) -> int:
@@ -94,6 +107,60 @@ class ViewingGraph:
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: k for k, e in enumerate(self.edges)}
 
+    @cached_property
+    def block_cut(self) -> BlockCut:
+        """Iterative low-link DFS with an edge stack (Hopcroft-Tarjan), run
+        once per graph; the result is shared, so it holds only tuples."""
+        n, edges = self.node_count, self.edges
+        incident = [[] for _ in range(n)]  # edge indices alone keep the peak memory low
+        for k, (i, j) in enumerate(edges):
+            incident[i].append(k)
+            incident[j].append(k)
+        disc, low = [-1] * n, [0] * n
+        via = [-1] * n  # tree edge into each node; -1 at a DFS root
+        mark = [0] * n  # edge-stack height where that tree edge was pushed
+        closes = [0] * n  # blocks a node closes as the parent of a subtree
+        edge_stack: list[int] = []
+        blocks: list[tuple[int, ...]] = []
+        timer = pieces = 0
+        for s in range(n):
+            if disc[s] != -1:
+                continue
+            pieces += 1
+            disc[s] = low[s] = timer
+            timer += 1
+            stack = [(s, iter(incident[s]))]  # each node with its edges still to scan
+            while stack:
+                v, todo = stack[-1]
+                for k in todo:
+                    i, w = edges[k]
+                    if w == v:
+                        w = i
+                    if disc[w] == -1:
+                        via[w], mark[w] = k, len(edge_stack)
+                        edge_stack.append(k)
+                        disc[w] = low[w] = timer
+                        timer += 1
+                        stack.append((w, iter(incident[w])))
+                        break
+                    if disc[w] < disc[v] and k != via[v]:  # back edge, seen once
+                        edge_stack.append(k)
+                        if disc[w] < low[v]:
+                            low[v] = disc[w]
+                else:  # v is done
+                    stack.pop()
+                    if stack:
+                        u = stack[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                        if low[v] >= disc[u]:  # u separates v's subtree: close a block
+                            blocks.append(tuple(sorted(edge_stack[mark[v]:])))
+                            del edge_stack[mark[v]:]
+                            closes[u] += 1
+        # a root separates only when it closes two or more blocks
+        cuts = tuple(v for v in range(n) if closes[v] > (via[v] == -1))
+        return BlockCut(pieces, cuts, tuple(blocks))
+
     def permuted(self, perm: list[int] | tuple[int, ...]) -> "ViewingGraph":
         """Relabel nodes: node ``v`` becomes ``perm[v]``."""
         if sorted(perm) != list(range(self.node_count)):
@@ -108,10 +175,10 @@ def parse_edge_list(text: str) -> ViewingGraph:
 
     Lines starting with ``#`` and blank lines are ignored.  Node ids must be
     0-based and contiguous; files with gaps are rejected rather than
-    compacted.
+    compacted.  Self-loops and duplicate edges are left to ViewingGraph,
+    whose errors name the edge but not the line.
     """
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     mentioned: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -126,14 +193,9 @@ def parse_edge_list(text: str) -> ViewingGraph:
             raise GraphParseError(f"line {lineno}: non-integer node id in {raw!r}") from None
         if i < 0 or j < 0:
             raise GraphParseError(f"line {lineno}: negative node id in {raw!r}")
-        if i == j:
-            raise GraphValidationError(f"line {lineno}: self-loop at node {i}")
-        e = (i, j) if i < j else (j, i)
-        if e in seen:
-            raise GraphValidationError(f"line {lineno}: duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
-        mentioned.update(e)
+        edges.append((i, j))
+        mentioned.add(i)
+        mentioned.add(j)
     if not edges:
         raise GraphParseError("no edges found in input")
     n = max(mentioned) + 1
@@ -168,76 +230,6 @@ class NecessaryConditionResult:
     articulation_points: tuple[int, ...]
 
 
-def _piece_roots(n: int, edges) -> list[int]:
-    """Union-find root of every node; equal exactly within a connected piece."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges:
-        parent[find(i)] = find(j)
-    return [find(v) for v in range(n)]
-
-
-def _dfs_articulation(g: ViewingGraph) -> tuple[int, list[int], list[list[int]]]:
-    """Iterative low-link DFS with an edge stack (Hopcroft-Tarjan).
-
-    Returns the number of connected pieces, the articulation points and the
-    biconnected blocks: the edge sets that no single node disconnects, each
-    as ascending edge indices.  Every edge lies in exactly one block; a
-    bridge is a block of its own.
-    """
-    n = g.node_count
-    incident = [[] for _ in range(n)]
-    for k, (i, j) in enumerate(g.edges):
-        incident[i].append((j, k))
-        incident[j].append((i, k))
-    disc, low, ptr = [-1] * n, [0] * n, [0] * n
-    via = [-1] * n  # tree edge into each node; -1 at a DFS root
-    mark = [0] * n  # edge-stack height where that tree edge was pushed
-    closes = [0] * n  # blocks a node closes as the parent of a subtree
-    edge_stack: list[int] = []
-    blocks: list[list[int]] = []
-    timer = components = 0
-    for s in range(n):
-        if disc[s] != -1:
-            continue
-        components += 1
-        disc[s] = low[s] = timer
-        timer += 1
-        stack = [s]
-        while stack:
-            v = stack[-1]
-            if ptr[v] < len(incident[v]):
-                w, k = incident[v][ptr[v]]
-                ptr[v] += 1
-                if disc[w] == -1:
-                    via[w], mark[w] = k, len(edge_stack)
-                    edge_stack.append(k)
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append(w)
-                elif disc[w] < disc[v] and k != via[v]:  # back edge, seen once
-                    edge_stack.append(k)
-                    low[v] = min(low[v], disc[w])
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:  # u separates v's subtree: close a block
-                    blocks.append(sorted(edge_stack[mark[v]:]))
-                    del edge_stack[mark[v]:]
-                    closes[u] += 1
-    # a root separates only when it closes two or more blocks
-    aps = [v for v in range(n) if closes[v] > (via[v] == -1)]
-    return components, aps, blocks
-
-
 def necessary_conditions(g: ViewingGraph) -> NecessaryConditionResult:
     """Evaluate the cheap combinatorial conditions every solvable graph meets.
 
@@ -245,9 +237,9 @@ def necessary_conditions(g: ViewingGraph) -> NecessaryConditionResult:
     most two that share no common neighbor; an edge inside a triangle is
     exempt (a lone triangle is solvable even though all its degrees are 2).
     """
-    components, aps, _ = _dfs_articulation(g)
-    connected = components == 1
-    biconnected = connected and not aps
+    pieces, cuts, _ = g.block_cut
+    connected = pieces == 1
+    biconnected = connected and not cuts
     deg = g.degrees
     min_degree_ok = all(d >= 2 for d in deg)
     adj = g.adjacency
@@ -261,5 +253,5 @@ def necessary_conditions(g: ViewingGraph) -> NecessaryConditionResult:
         min_degree_ok=min_degree_ok,
         no_adjacent_degree_two=no_adjacent_degree_two,
         edge_bound_ok=edge_bound_ok,
-        articulation_points=tuple(aps),
+        articulation_points=cuts,
     )

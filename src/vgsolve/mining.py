@@ -32,7 +32,7 @@ from .engine import (
     finite_solvability,
     maximal_components,
 )
-from .graph import ViewingGraph, _piece_roots, minimal_edge_count, necessary_conditions
+from .graph import ViewingGraph, minimal_edge_count, necessary_conditions
 
 __all__ = [
     "MiningResult",
@@ -256,9 +256,9 @@ def sample_graph(n: int, m: int, rng: np.random.Generator) -> ViewingGraph:
     connectable = m >= n - 1
     for _ in range(_CONNECTIVITY_RETRIES):
         idx = rng.choice(len(all_pairs), size=m, replace=False)
-        edges = tuple(all_pairs[int(k)] for k in idx)
-        if not connectable or len(set(_piece_roots(n, edges))) == 1:
-            return ViewingGraph(n, edges)
+        g = ViewingGraph(n, tuple(all_pairs[int(k)] for k in idx))
+        if not connectable or g.block_cut.pieces == 1:
+            return g
     raise RuntimeError(
         f"no connected sample with {m} edges on {n} nodes after "
         f"{_CONNECTIVITY_RETRIES} draws; density too low"

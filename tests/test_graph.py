@@ -1,8 +1,12 @@
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from vgsolve.cli import main
+from vgsolve.engine import _certificate
 from vgsolve.graph import (
     GraphParseError,
     GraphValidationError,
@@ -12,6 +16,7 @@ from vgsolve.graph import (
     parse_edge_list,
     to_edge_list,
 )
+from vgsolve.mining import density_sweep
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
 SQUARE = "0 1\n1 2\n2 3\n3 0\n"
@@ -148,3 +153,57 @@ def test_conditions_invariant_under_relabeling():
             base.connected, base.biconnected, base.min_degree_ok,
             base.no_adjacent_degree_two, base.edge_bound_ok)
         assert res.articulation_points == tuple(sorted(perm[v] for v in base.articulation_points))
+
+
+@pytest.fixture
+def traversals(monkeypatch):
+    """Every graph object the block DFS behind ViewingGraph.block_cut runs
+    on, in call order."""
+    seen = []
+    prop = ViewingGraph.__dict__["block_cut"]
+    dfs = prop.func
+
+    def counted(g):
+        seen.append(g)
+        return dfs(g)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return seen
+
+
+def test_text_check_traverses_a_graph_with_a_cut_camera_once(tmp_path, traversals, capsys):
+    p = tmp_path / "bowtie.txt"
+    p.write_text("0 1\n0 2\n1 2\n2 3\n2 4\n3 4\n")
+    assert main(["check", str(p)]) == 1
+    assert "decided by its 2 biconnected blocks" in capsys.readouterr().out
+    assert [g.node_count for g in traversals].count(5) == 1
+    assert len({id(g) for g in traversals}) == len(traversals)
+
+
+def test_rejected_sweep_sample_traversed_once(traversals):
+    result = density_sweep(20, 30, 5, 2, threads=1)
+    # _certificate reads the cached result, so it adds no traversal
+    rejected = [g for g in traversals if g.edge_count == 57 and _certificate(g) is False]
+    assert rejected and result.component_count_max > 1
+    assert len({id(g) for g in traversals}) == len(traversals)
+
+
+def test_block_cut_shared_between_threads():
+    # more readers than cores race for one graph's first computation
+    edges = tuple((i, j) for i in range(60) for j in range(i + 1, min(60, i + 4))) + ((0, 60),)
+    expected = ViewingGraph(61, edges).block_cut
+    g = ViewingGraph(61, edges)
+    results = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: results.append(g.block_cut)) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [expected] * 8
+    assert expected.pieces == 1 and expected.cuts == (0,) and len(expected.blocks) == 2

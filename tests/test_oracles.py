@@ -1,11 +1,12 @@
 """Property tests against independent oracles: networkx for connectivity,
-isomorphism and the atlas of all graphs on up to 7 nodes, and the edge-list
-format itself for parsing; and the growth certificate's invariance under
-relabeling."""
+biconnected blocks, random samples, isomorphism and the atlas of all graphs
+on up to 7 nodes, and the edge-list format itself for parsing; and the
+growth certificate's invariance under relabeling."""
 
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from vgsolve.engine import _certificate, finite_solvability
@@ -18,7 +19,7 @@ from vgsolve.graph import (
     parse_edge_list,
     to_edge_list,
 )
-from vgsolve.mining import canonical_form, enumerate_candidates
+from vgsolve.mining import canonical_form, enumerate_candidates, sample_graph
 
 nx = pytest.importorskip("networkx")
 hypothesis = pytest.importorskip("hypothesis")
@@ -59,6 +60,11 @@ def test_connectivity_matches_networkx(g):
     assert res.connected == nx.is_connected(G)
     assert res.biconnected == nx.is_biconnected(G)
     assert res.articulation_points == tuple(sorted(nx.articulation_points(G)))
+    blocks = g.block_cut.blocks
+    assert all(isinstance(b, tuple) and list(b) == sorted(b) for b in blocks)
+    assert {frozenset(g.edges[k] for k in b) for b in blocks} == {
+        frozenset(tuple(sorted(e)) for e in c) for c in nx.biconnected_component_edges(G)
+    }
 
 
 @SETTINGS
@@ -162,3 +168,41 @@ def test_certificate_invariant_under_relabeling_and_edge_order(g, data):
     # a graph that is not biconnected takes its rank_jp from its blocks
     split = certified is False and not necessary_conditions(g).biconnected
     assert paths[0] == paths[1] == ("certificate" if certified else "blocks" if split else "float")
+
+
+# sample_graph(7, 7, default_rng(seed)) twice, then the generator's next
+# integer: pins the edges and the number of redraws behind every sweep
+SAMPLED = {
+    1: ([(2, 4), (1, 3), (0, 1), (3, 6), (0, 3), (1, 4), (5, 6)],
+        [(0, 5), (2, 4), (2, 3), (1, 2), (0, 2), (1, 6), (0, 1)], 1944245514),
+    2: ([(1, 5), (0, 5), (3, 5), (1, 3), (0, 6), (0, 2), (2, 4)],
+        [(3, 5), (1, 6), (0, 5), (3, 4), (1, 3), (2, 4), (4, 6)], 804243663),
+    3: ([(5, 6), (1, 3), (0, 5), (0, 1), (2, 5), (0, 3), (2, 4)],
+        [(1, 5), (4, 6), (2, 6), (0, 3), (2, 5), (3, 5), (3, 4)], 1257226043),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLED))
+def test_sample_graph_draws_are_recorded(seed):
+    first, second, after = SAMPLED[seed]
+    rng = np.random.default_rng(seed)
+    assert [list(sample_graph(7, 7, rng).edges) for _ in range(2)] == [first, second]
+    assert int(rng.integers(0, 2**32)) == after
+
+
+@SETTINGS
+@given(st.integers(2, 9), st.data())
+def test_sample_graph_connected_when_possible(n, data):
+    m = data.draw(st.integers(n - 1, n * (n - 1) // 2))
+    g = sample_graph(n, m, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    assert g.edge_count == m
+    assert nx.is_connected(to_nx(g))
+
+
+@pytest.mark.parametrize("n, m, seed", [(6, 2, 1), (10, 7, 2), (20, 9, 3), (20, 18, 4)])
+def test_sample_graph_too_sparse_returns_first_draw(n, m, seed):
+    pairs = list(combinations(range(n), 2))
+    idx = np.random.default_rng(seed).choice(len(pairs), size=m, replace=False)
+    g = sample_graph(n, m, np.random.default_rng(seed))
+    assert g.edges == tuple(pairs[int(k)] for k in idx)
+    assert not nx.is_connected(to_nx(g))
