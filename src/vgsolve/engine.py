@@ -248,7 +248,7 @@ def _dense_gram(J: sp.csr_matrix) -> tuple[np.ndarray, float]:
 
 
 def _low_ritz_pairs(
-    J: sp.csr_matrix, gram: np.ndarray, smax: float, tolerance: float, need: str
+    J: sp.csr_matrix, gram: np.ndarray, smax: float, need: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ritz values (ascending) and orthonormal Ritz vectors of J at the low
     end of its spectrum, from one Cholesky factor of the dense J^T J
@@ -262,10 +262,7 @@ def _low_ritz_pairs(
     doubles until its largest Ritz value passes a reach: _RITZ_WATCH * smax,
     below which the shifted iteration no longer tells directions apart, or
     for the kernel _RITZ_GUARD * smax, since a kernel vector keeps about
-    eps / (sigma / smax)^2 of every direction outside the block.  For the
-    verdict alone the smallest Ritz value bounds sigma_min from above, so a
-    block that already shows a deficient value is enough; the rank needs
-    every deficient value, so it always grows to the reach.
+    eps / (sigma / smax)^2 of every direction outside the block.
     """
     rows, cols = J.shape
     gram[np.diag_indices(cols)] += cols * np.finfo(float).eps * smax**2
@@ -300,25 +297,25 @@ def _low_ritz_pairs(
                 f"on a {rows}x{cols} system"
             )
         reach = (_RITZ_GUARD if need == "kernel" else _RITZ_WATCH) * smax
-        if s[-1] > reach or V.shape[1] == cols or (need == "verdict" and s[0] <= tolerance * smax):
+        if s[-1] > reach or V.shape[1] == cols:
             return s, V
         width = min(2 * V.shape[1], cols)
         V = np.hstack([V, rng.standard_normal((cols, width - V.shape[1]))])
 
 
 def _low_spectrum(
-    J: sp.csr_matrix, tolerance: float, need: str
+    J: sp.csr_matrix, need: str
 ) -> tuple[np.ndarray, float, np.ndarray | None]:
     """The one size dispatch of every rank and kernel computation: ascending
     low singular values of J (all of them on the dense path, the resolved
     Ritz values on the large-system path), sigma_max and, when ``need`` is
     "kernel", the matching right singular vectors.
 
-    ``need`` says how far the low end must be resolved: "verdict" only
-    decides sigma_min > tolerance * sigma_max, "rank" resolves every value
-    up to the tolerance so that counting them is exact, "kernel" also
-    guards the vectors (see _low_ritz_pairs).  A system with fewer rows
-    than columns reports its cols - rows missing values as exactly 0.
+    ``need`` says how far the low end must be resolved: "rank" resolves
+    every value up to _RITZ_WATCH * sigma_max, so that counting them is
+    exact, "kernel" also guards the vectors (see _low_ritz_pairs).  A
+    system with fewer rows than columns reports its cols - rows missing
+    values as exactly 0.
     """
     rows, cols = J.shape
     if rows * cols <= _DENSE_SVD_MAX_ENTRIES:
@@ -335,7 +332,7 @@ def _low_spectrum(
         smax = float(s[-1])
     elif cols <= _DENSE_EIG_MAX_COLS:
         gram, smax = _dense_gram(J)
-        s, V = _low_ritz_pairs(J, gram, smax, tolerance, need)
+        s, V = _low_ritz_pairs(J, gram, smax, need)
     else:
         raise RankComputationError(
             f"a {rows}x{cols} system is too large: more than {_DENSE_SVD_MAX_ENTRIES} "
@@ -346,18 +343,6 @@ def _low_spectrum(
     return s, smax, V
 
 
-def _band_verdict(s: np.ndarray, smax: float, tolerance: float) -> bool | None:
-    """The band rule on one spectral pass: full column rank when
-    q = s[0] / (tolerance * smax) is at least _BAND_HIGH, deficient when it
-    is at most _BAND_LOW, None (undecided) inside the band."""
-    floor = tolerance * smax
-    if s[0] >= _BAND_HIGH * floor:
-        return True
-    if s[0] <= _BAND_LOW * floor:
-        return False
-    return None
-
-
 def is_full_column_rank(
     system: JacobianSystem, tolerance: float = DEFAULT_TOLERANCE
 ) -> tuple[bool, float, float]:
@@ -366,12 +351,13 @@ def is_full_column_rank(
     Uses a dense SVD for systems of at most 40M entries.  Larger ones with
     at most 8000 columns factor J^T J once (Cholesky) and take sigma_min as
     the smallest Ritz value of block inverse iteration with a Rayleigh-Ritz
-    step on J; wider ones raise RankComputationError.  A system with fewer
-    rows than columns can never have full column rank and reports
-    sigma_min = 0 on every path.
+    step on J, resolved as far as for the rank (every value up to
+    _RITZ_WATCH * sigma_max); wider ones raise RankComputationError.  A
+    system with fewer rows than columns can never have full column rank
+    and reports sigma_min = 0 on every path.
     """
     _check_tolerance(tolerance)
-    s, smax, _ = _low_spectrum(system.matrix, tolerance, "verdict")
+    s, smax, _ = _low_spectrum(system.matrix, "rank")
     return bool(s[0] > tolerance * smax), float(s[0]), smax
 
 
@@ -389,7 +375,7 @@ def null_space_basis(
     resolve; wider ones raise RankComputationError.
     """
     _check_tolerance(tolerance)
-    s, smax, V = _low_spectrum(system.matrix, tolerance, "kernel")
+    s, smax, V = _low_spectrum(system.matrix, "kernel")
     return V[:, s <= tolerance * smax]
 
 
@@ -503,6 +489,54 @@ def _block_graph(g: ViewingGraph, block: tuple[int, ...]) -> tuple[list[int], Vi
         (relabel[g.edges[k][0]], relabel[g.edges[k][1]]) for k in block))
 
 
+def _decide(
+    g: ViewingGraph,
+    seeds: tuple[int, ...],
+    tolerance: float,
+    gauge_edge: tuple[int, int] | None = None,
+    need: str = "rank",
+) -> tuple[SolvabilityReport, np.ndarray | None]:
+    """The decision ladder of finite_solvability and maximal_components for
+    the biconnected graph g, gauged on ``gauge_edge``.  A graph the growth
+    certificate covers takes no camera.  Otherwise each seed takes one
+    ``need`` pass of _low_spectrum and decides when its ratio
+    q = sigma_min / (tolerance * sigma_max) lies outside the band
+    (_BAND_LOW, _BAND_HIGH); when none does, the GF(p) rank decides.
+    Returns the report and the ascending right singular vectors of the
+    last pass (None without a pass, or for a dense "rank" pass)."""
+    t0 = time.perf_counter()
+    n = g.node_count
+    expected = 11 * n - 15
+    sigmas, verdicts, V = (None, None), [], None
+    if _certificate(g):
+        rank_jp, path = expected, "certificate"
+    else:
+        for seed in seeds:
+            J = _assemble_for_seed(g, seed, gauge_edge).matrix
+            s, smax, V = _low_spectrum(J, need)
+            floor = tolerance * smax
+            if not verdicts:
+                sigmas = float(s[0]), smax
+            verdicts.append(bool(s[0] > floor))
+            if not _BAND_LOW * floor < s[0] < _BAND_HIGH * floor:
+                rank_jp, path = expected - int(np.count_nonzero(s <= floor)), "float"
+                break
+        else:
+            rank_jp, path = expected - (12 * n - finite_field_rank(g)), "exact"
+    return SolvabilityReport(
+        finite_solvable=rank_jp == expected,
+        rank_jp=rank_jp,
+        expected_rank=expected,
+        sigma_min=sigmas[0],
+        sigma_max=sigmas[1],
+        tolerance=tolerance,
+        seeds=seeds[: len(verdicts)],
+        agreement=tuple(verdicts),
+        path=path,
+        wall_time=time.perf_counter() - t0,
+    ), V
+
+
 def finite_solvability(
     g: ViewingGraph,
     seeds: list[int] | tuple[int, ...] | None = None,
@@ -515,24 +549,23 @@ def finite_solvability(
     fails a necessary condition still takes the rank test, since
     ``rank_jp`` needs it.
 
-    Each seed costs one spectral pass.  It decides when its ratio
-    q = sigma_min / (tolerance * sigma_max) lies outside the band
-    (_BAND_LOW, _BAND_HIGH): solvable with ``rank_jp = 11n - 15`` above it,
-    deficient below it, with ``rank_jp`` short by the singular values at or
+    Each seed costs one spectral pass and decides unless its ratio
+    q = sigma_min / (tolerance * sigma_max) lies in an ambiguity band about
+    1 (see _decide): solvable above it with ``rank_jp = 11n - 15``,
+    deficient below it with ``rank_jp`` short by the singular values at or
     below ``tolerance * sigma_max``.  When no seed decides, the exact rank
     over GF(p) does (``path`` "exact"): full rank mod p proves full rank
     over Q.
 
-    A graph on 3 or more nodes that is not biconnected is not finite
-    solvable, and its ``rank_jp`` is the sum over its biconnected blocks
-    (``path`` "blocks"): the kernel of the camera-block Jacobian is the
-    fibred product of the blocks' kernels over the cut cameras, and each
-    block's restriction onto a cut camera a is onto (H -> P_a H maps the
-    4x4 matrices onto the 3x4 ones), so every extra (block, cut camera)
+    A graph that is not biconnected is not finite solvable, and its
+    ``rank_jp`` is the sum over its biconnected blocks (``path``
+    "blocks"): the kernel of the camera-block Jacobian is the fibred
+    product of the blocks' kernels over the cut cameras, and each block's
+    restriction onto a cut camera a is onto (H -> P_a H maps the 4x4
+    matrices onto the 3x4 ones), so every extra (block, cut camera)
     incidence removes 12 kernel dimensions and 12 columns alike.  A bridge
     adds 7 (the dof of F), a node without edges 0, and any other block the
-    ``rank_jp`` of its own report; a block is biconnected, so that report
-    takes one of the paths above.
+    ``rank_jp`` that the same certificate, seeds and GF(p) rank give it.
     """
     _check_tolerance(tolerance)
     if seeds is None:
@@ -542,60 +575,23 @@ def finite_solvability(
         raise ValueError("seed list must not be empty")
     if g.edge_count == 0:
         raise ValueError("graph has no edges")
-    n = g.node_count
+    pieces, cuts, blocks = g.block_cut
+    if pieces == 1 and not cuts:
+        return _decide(g, seeds, tolerance)[0]
     t0 = time.perf_counter()
-    expected = 11 * n - 15
-    # a graph decided without drawing the whole graph's cameras
-    undrawn = None
-    certified = _certificate(g)
-    if certified:
-        undrawn = expected, "certificate"
-    elif certified is False:  # only a graph on 3 or more nodes fails a condition
-        pieces, cuts, blocks = g.block_cut
-        if pieces > 1 or cuts:
-            undrawn = sum(
-                7 if len(block) == 1
-                else finite_solvability(_block_graph(g, block)[1], seeds, tolerance).rank_jp
-                for block in blocks), "blocks"
-    if undrawn is not None:
-        rank_jp, path = undrawn
-        return SolvabilityReport(
-            finite_solvable=path == "certificate",
-            rank_jp=rank_jp,
-            expected_rank=expected,
-            sigma_min=None,
-            sigma_max=None,
-            tolerance=tolerance,
-            seeds=(),
-            agreement=(),
-            path=path,
-            wall_time=time.perf_counter() - t0,
-        )
-    verdicts: list[bool] = []
-    for seed in seeds:
-        J = _assemble_for_seed(g, seed, None).matrix
-        s, smax, _ = _low_spectrum(J, tolerance, "rank")
-        floor = tolerance * smax
-        if not verdicts:
-            sigma_min, sigma_max = float(s[0]), smax
-        verdicts.append(bool(s[0] > floor))
-        solvable = _band_verdict(s, smax, tolerance)
-        if solvable is not None:
-            rank_jp, path = expected - int(np.count_nonzero(s <= floor)), "float"
-            break
-    else:
-        rank = finite_field_rank(g)
-        solvable, rank_jp, path = rank == 12 * n, expected - (12 * n - rank), "exact"
+    rank_jp = sum(7 if len(block) == 1
+                  else _decide(_block_graph(g, block)[1], seeds, tolerance)[0].rank_jp
+                  for block in blocks)
     return SolvabilityReport(
-        finite_solvable=solvable,
+        finite_solvable=False,
         rank_jp=rank_jp,
-        expected_rank=expected,
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
+        expected_rank=11 * g.node_count - 15,
+        sigma_min=None,
+        sigma_max=None,
         tolerance=tolerance,
-        seeds=seeds[: len(verdicts)],
-        agreement=tuple(verdicts),
-        path=path,
+        seeds=(),
+        agreement=(),
+        path="blocks",
         wall_time=time.perf_counter() - t0,
     )
 
@@ -642,20 +638,19 @@ def _fixed_nodes(
     """The nodes of g's edges ``block`` fixed with its first edge as gauge,
     or None when the block is finite solvable and all of them are.
 
-    A block the certificate covers takes no camera.  Any other takes one
-    kernel pass at ``seed``, whose own singular values go through the band
-    rule; inside the band the GF(p) rank decides.  A deficient block reads
-    the 12-row node blocks of that pass's kernel.
+    The block is decided as check decides a biconnected graph, with the
+    one seed ``seed``.  A deficient block reads the 12-row node blocks of
+    its kernel, the lowest 11n - 15 - rank_jp vectors of that seed's pass:
+    on the float path those at or below tolerance * sigma_max, on the exact
+    path as many as the GF(p) rank is short.  (The large-system pass holds
+    every direction below _RITZ_GUARD * sigma_max, which covers the band
+    at any tolerance up to 1e-6.)
     """
     nodes, sub = _block_graph(g, block)
-    if _certificate(sub):
+    report, V = _decide(sub, (seed,), tolerance, sub.edges[0], "kernel")
+    if report.finite_solvable:
         return None
-    J = _assemble_for_seed(sub, seed, sub.edges[0]).matrix
-    s, smax, V = _low_spectrum(J, tolerance, "kernel")
-    kernel = V[:, s <= tolerance * smax]  # empty when the band says solvable
-    if kernel.shape[1] == 0 or (_band_verdict(s, smax, tolerance) is None
-                                and finite_field_rank(sub) == 12 * sub.node_count):
-        return None
+    kernel = V[:, : report.expected_rank - report.rank_jp]
     norms = np.linalg.norm(kernel.reshape(len(nodes), 12, -1), axis=(1, 2))
     return {nodes[t] for t in np.flatnonzero(norms <= NODE_BLOCK_REL_TOL * norms.max())}
 

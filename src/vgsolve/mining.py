@@ -250,13 +250,16 @@ def sample_graph(n: int, m: int, rng: np.random.Generator) -> ViewingGraph:
     draw is accepted as-is (such graphs are never finite solvable, and
     maximal_components splits them into blocks like any other).
     """
-    all_pairs = list(combinations(range(n), 2))
-    if not 1 <= m <= len(all_pairs):
+    total = n * (n - 1) // 2
+    if not 1 <= m <= total:
         raise ValueError(f"cannot place {m} edges on {n} nodes")
     connectable = m >= n - 1
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - rows - 1) // 2  # lexicographic index of the pair (i, i + 1)
     for _ in range(_CONNECTIVITY_RETRIES):
-        idx = rng.choice(len(all_pairs), size=m, replace=False)
-        g = ViewingGraph(n, tuple(all_pairs[int(k)] for k in idx))
+        idx = rng.choice(total, size=m, replace=False)
+        i = np.searchsorted(starts, idx, "right") - 1
+        g = ViewingGraph(n, tuple(zip(i.tolist(), (idx - starts[i] + i + 1).tolist())))
         if not connectable or g.block_cut.pieces == 1:
             return g
     raise RuntimeError(

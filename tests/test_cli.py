@@ -106,10 +106,10 @@ def test_check_exact_path_text(k23_file, monkeypatch, capsys):
     # every seed inside the ambiguity band: the GF(p) rank decides
     low_spectrum = engine._low_spectrum
 
-    def banded(J, tolerance, need):
-        s, smax, V = low_spectrum(J, tolerance, need)
+    def banded(J, need):
+        s, smax, V = low_spectrum(J, need)
         s = s.copy()
-        s[0] = tolerance * smax
+        s[0] = engine.DEFAULT_TOLERANCE * smax
         return s, smax, V
 
     monkeypatch.setattr(engine, "_low_spectrum", banded)

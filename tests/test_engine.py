@@ -218,7 +218,7 @@ def test_failed_cholesky_raises():
     J = build_system(TRIANGLE).matrix
     indefinite = -np.eye(J.shape[1])
     with pytest.raises(RankComputationError, match="48x36"):
-        _low_ritz_pairs(J, indefinite, 1.0, 1e-8, need="verdict")
+        _low_ritz_pairs(J, indefinite, 1.0, need="rank")
 
 
 @pytest.mark.parametrize("g,branch", [(SQUARE, "dense"), (JOINED_STRIPS, "gram")],
@@ -227,9 +227,9 @@ def test_one_spectral_pass_per_seed(g, branch, monkeypatch):
     calls = []
     low_spectrum = engine._low_spectrum
 
-    def counted(J, tolerance, need):
+    def counted(J, need):
         calls.append(need)
-        return low_spectrum(J, tolerance, need)
+        return low_spectrum(J, need)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("finite_solvability must not compute a second kernel")
@@ -370,18 +370,18 @@ def test_report_sigmas_come_from_first_seed():
     assert (rep.sigma_min, rep.sigma_max) == (smin, smax)
 
 
-def _in_band_spectrum(monkeypatch, seeds_in_band):
+def _in_band_spectrum(monkeypatch, seeds_in_band, q=1.0):
     """Make the first ``seeds_in_band`` spectral passes land inside the
-    ambiguity band (sigma_min = tolerance * sigma_max, q = 1) and record
-    the sigmas every pass returns."""
+    ambiguity band (sigma_min = q * tolerance * sigma_max at the default
+    tolerance) and record the sigmas every pass returns."""
     low_spectrum = engine._low_spectrum
     returned = []
 
-    def banded(J, tolerance, need):
-        s, smax, V = low_spectrum(J, tolerance, need)
+    def banded(J, need):
+        s, smax, V = low_spectrum(J, need)
         if len(returned) < seeds_in_band:
             s = s.copy()
-            s[0] = tolerance * smax
+            s[0] = q * engine.DEFAULT_TOLERANCE * smax
         returned.append((float(s[0]), smax))
         return s, smax, V
 
@@ -869,10 +869,10 @@ def _count_kernels(monkeypatch):
     low_spectrum = engine._low_spectrum
     kernels = []
 
-    def counted(J, tolerance, need):
+    def counted(J, need):
         if need == "kernel":
             kernels.append(J.shape)
-        return low_spectrum(J, tolerance, need)
+        return low_spectrum(J, need)
 
     monkeypatch.setattr(engine, "_low_spectrum", counted)
     return kernels
@@ -1047,15 +1047,21 @@ def test_components_no_cliff_on_long_path(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("2999 component(s)\n")
 
 
-@pytest.mark.parametrize("g,sizes", [(K23, [6]), (SQUARE, [1, 1, 1, 1])],
-                         ids=["K23", "SQUARE"])
-def test_in_band_block_takes_exact_rank(g, sizes, monkeypatch):
+@pytest.mark.parametrize("g,q,sizes", [
+    (K23, 1.0, [6]), (SQUARE, 1.0, [1, 1, 1, 1]), (K23, 10.0, [6]), (SQUARE, 10.0, [1, 1, 1, 1]),
+], ids=["K23", "SQUARE", "K23-q10", "SQUARE-q10"])
+def test_in_band_block_takes_exact_rank(g, q, sizes, monkeypatch):
     # the one kernel pass lands inside the band, so the GF(p) rank decides:
-    # K23 is solvable and stays whole, SQUARE reads that pass's kernel
-    returned = _in_band_spectrum(monkeypatch, 2)
+    # K23 is solvable and stays whole, SQUARE reads that pass's lowest
+    # 11n - 15 - rank_jp directions.  At q = 10 the pass is above the
+    # tolerance and its own float kernel is empty, yet the split must follow
+    # the verdict that check reaches on an in-band pass
+    returned = _in_band_spectrum(monkeypatch, 3, q)
     part = maximal_components(g, seeds=[4])
     assert [len(c.edges) for c in part.components] == sizes
     assert len(returned) == 1
+    rep = finite_solvability(g, seeds=[4])
+    assert (rep.path, rep.finite_solvable) == ("exact", len(sizes) == 1)
     # on a block too large for the exact rank, its named error
     rows, cols = 10 * g.edge_count + g.node_count + 15, 12 * g.node_count
     monkeypatch.setattr(engine, "_DENSE_SVD_MAX_ENTRIES", rows * cols - 1)
@@ -1123,9 +1129,9 @@ def test_block_sum_matches_field_rank(branch, monkeypatch):
     passes = []
     low_spectrum = engine._low_spectrum
 
-    def counted(J, tolerance, need):
+    def counted(J, need):
         passes.append(J.shape)
-        return low_spectrum(J, tolerance, need)
+        return low_spectrum(J, need)
 
     monkeypatch.setattr(engine, "_low_spectrum", counted)
     cases = list(_multi_block_cases())

@@ -1,7 +1,8 @@
 """Property tests against independent oracles: networkx for connectivity,
 biconnected blocks, random samples, isomorphism and the atlas of all graphs
-on up to 7 nodes, and the edge-list format itself for parsing; and the
-growth certificate's invariance under relabeling."""
+on up to 7 nodes, and the edge-list format itself for parsing; the growth
+certificate's invariance under relabeling; and the agreement of check and
+components."""
 
 import random
 from itertools import combinations
@@ -9,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from vgsolve.engine import _certificate, finite_solvability
+from vgsolve.engine import _certificate, finite_solvability, maximal_components
 from vgsolve.graph import (
     GraphParseError,
     GraphValidationError,
@@ -206,3 +207,37 @@ def test_sample_graph_too_sparse_returns_first_draw(n, m, seed):
     g = sample_graph(n, m, np.random.default_rng(seed))
     assert g.edges == tuple(pairs[int(k)] for k in idx)
     assert not nx.is_connected(to_nx(g))
+
+
+@st.composite
+def connected_samples(draw, min_nodes=3, max_nodes=10):
+    """sample_graph at n nodes and any m >= n - 1 edges: connected."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    m = draw(st.integers(n - 1, n * (n - 1) // 2))
+    return sample_graph(n, m, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+# the mine 7 and mine 8 candidates, enumerated on first draw
+MINED = st.deferred(lambda: st.sampled_from([*enumerate_candidates(7), *enumerate_candidates(8)]))
+_HALVES = st.one_of(connected_samples(max_nodes=7), MINED)
+
+
+@st.composite
+def glued_halves(draw):
+    """Two halves sharing 1-3 cameras, with the edges of both."""
+    a, b = draw(_HALVES), draw(_HALVES)
+    shared = draw(st.integers(1, min(3, a.node_count, b.node_count)))
+    label = draw(st.permutations(range(a.node_count)))[:shared]
+    label += range(a.node_count, a.node_count + b.node_count - shared)
+    edges = set(a.edges) | {tuple(sorted((label[i], label[j]))) for i, j in b.edges}
+    return ViewingGraph(a.node_count + b.node_count - shared, tuple(sorted(edges)))
+
+
+@SETTINGS
+@given(st.one_of(connected_samples(), glued_halves(), MINED), st.integers(0, 2**32 - 1))
+def test_check_agrees_with_components(g, seed):
+    # check and components decide every block by the same ladder: a graph is
+    # solvable exactly when its partition is one component on all its nodes
+    part = maximal_components(g, seeds=[seed])
+    whole = len(part.components) == 1 and part.components[0].nodes == tuple(range(g.node_count))
+    assert finite_solvability(g, seeds=[seed]).finite_solvable == whole, g.edges
