@@ -7,16 +7,6 @@ components, and ships mining/sweep harnesses for exhaustive and randomized
 experiments.
 """
 
-from .calculus import (
-    commutation_matrix,
-    elimination_matrix,
-    residual_jac_cam_i,
-    residual_jac_cam_j,
-    residual_jac_fmat,
-    vec,
-    vech,
-    vech_sym_operator,
-)
 from .engine import (
     DEFAULT_PRIME,
     DEFAULT_TOLERANCE,
@@ -45,6 +35,11 @@ from .geometry import (
     fundamental_matrix,
     normalize_projective,
     random_generic_configuration,
+    residual_jac_cam_i,
+    residual_jac_cam_j,
+    residual_jac_fmat,
+    vec,
+    vech,
 )
 from .graph import (
     BlockCut,

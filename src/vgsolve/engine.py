@@ -32,13 +32,14 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .calculus import _sym_camera_blocks
 from .geometry import (
     CameraConfiguration,
     DegenerateConfigurationError,
     FundamentalAssignment,
+    _edge_blocks,
     _fundamental_minors,
     _generic_draw,
+    compatibility_residual,
 )
 from .graph import ViewingGraph, necessary_conditions
 
@@ -110,6 +111,15 @@ def derive_seeds(master: int = DEFAULT_MASTER_SEED, count: int = DEFAULT_SEED_CO
     return tuple(int(x) for x in state)
 
 
+def _seed_tuple(seeds) -> tuple[int, ...]:
+    """The given seeds as ints, or derive_seeds() for None; an empty list
+    raises ValueError."""
+    seeds = derive_seeds() if seeds is None else tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ValueError("seed list must not be empty")
+    return seeds
+
+
 @dataclass(frozen=True)
 class JacobianSystem:
     """Sparse augmented Jacobian, laid out as in the module docstring."""
@@ -123,23 +133,6 @@ class JacobianSystem:
     @property
     def cols(self) -> int:
         return self.matrix.shape[1]
-
-
-def _edge_blocks(Pi, Pj, F, prime: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(m, 10, 12) derivatives of every edge residual vech(S + S^T),
-    S = Pj^T F Pi, with respect to camera i and to camera j.  With ``prime``
-    the inputs are int64 residues and the 3-term dot products are reduced
-    before they meet the operator, so no sum passes 2^63."""
-    PjTF = np.einsum("eka,ekl->eal", Pj, F)                     # (m, 4, 3)
-    FPiT = np.einsum("ekl,elb->ekb", F, Pi).transpose(0, 2, 1)  # (m, 4, 3)
-    if prime is not None:
-        PjTF %= prime
-        FPiT %= prime
-    block_i, block_j = _sym_camera_blocks(PjTF), _sym_camera_blocks(FPiT)
-    if prime is not None:
-        block_i %= prime
-        block_j %= prime
-    return block_i, block_j
 
 
 def _jacobian_coo(
@@ -211,8 +204,7 @@ def assemble_jacobian(
     Pi, Pj = cams[ei], cams[ej]
 
     # the fundamental matrices must be compatible with the configuration
-    S = np.einsum("eka,ekl,elb->eab", Pj, F, Pi)
-    worst = float(np.abs(S + S.transpose(0, 2, 1)).max(initial=0.0))
+    worst = float(np.abs(compatibility_residual(Pi, Pj, F)).max(initial=0.0))
     scale = float(
         (np.linalg.norm(Pi, axis=(1, 2)) * np.linalg.norm(Pj, axis=(1, 2))
          * np.linalg.norm(F, axis=(1, 2))).max(initial=1.0)
@@ -568,11 +560,7 @@ def finite_solvability(
     ``rank_jp`` that the same certificate, seeds and GF(p) rank give it.
     """
     _check_tolerance(tolerance)
-    if seeds is None:
-        seeds = derive_seeds()
-    seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ValueError("seed list must not be empty")
+    seeds = _seed_tuple(seeds)
     if g.edge_count == 0:
         raise ValueError("graph has no edges")
     pieces, cuts, blocks = g.block_cut
@@ -673,7 +661,7 @@ def maximal_components(
     Component k takes the seed _iteration_seed(seeds[0], k).
     """
     _check_tolerance(tolerance)
-    master = int(seeds[0]) if seeds else derive_seeds()[0]
+    master = _seed_tuple(seeds)[0]
     assignment = [-1] * g.edge_count
     components: list[Component] = []
     pending = [(block[0], block) for block in g.block_cut.blocks]

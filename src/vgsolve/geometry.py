@@ -1,5 +1,6 @@
 """Cameras, the pairwise fundamental-matrix map, and the skew-symmetry
-compatibility residual linking fundamental matrices to camera pairs.
+compatibility residual linking fundamental matrices to camera pairs,
+with its closed-form derivatives.
 
 Conventions: cameras are 3x4 full-rank matrices up to scale; the
 fundamental matrix F of an ordered pair (P_i, P_j) satisfies the epipolar
@@ -8,6 +9,10 @@ S = P_j^T F P_i is skew-symmetric.  Entrywise,
 
     F[h, k] = (-1)^(h+k) * det [ P_i without row k ]
                                [ P_j without row h ].
+
+Vectorization is column-major throughout (``vec`` stacks columns), which
+fixes the meaning of every 12-wide camera block in the assembled Jacobian:
+entry (r, c) of a 3x4 camera sits at offset ``r + 3*c``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import vech
 from .graph import ViewingGraph
 
 __all__ = [
@@ -27,6 +31,11 @@ __all__ = [
     "fundamental_matrix",
     "fundamental_assignment",
     "compatibility_residual",
+    "vec",
+    "vech",
+    "residual_jac_cam_i",
+    "residual_jac_cam_j",
+    "residual_jac_fmat",
     "random_generic_configuration",
     "normalize_projective",
 ]
@@ -175,14 +184,100 @@ def fundamental_assignment(g: ViewingGraph, config: CameraConfiguration) -> Fund
     return FundamentalAssignment(normalize_projective(F))
 
 
+def vec(m: np.ndarray) -> np.ndarray:
+    """Stack the columns of a matrix into one vector."""
+    return np.asarray(m).reshape(-1, order="F")
+
+
+def _lower_tri_indices(q: int) -> tuple[np.ndarray, np.ndarray]:
+    # column-major (0,0),(1,0),...,(q-1,0),(1,1),...: the upper triangle transposed
+    cols, rows = np.triu_indices(q)
+    return rows, cols
+
+
+def vech(m: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+    """Half-vectorization: lower-triangular entries, column-major.
+
+    The input must be symmetric within ``rtol`` relative to its largest
+    entry; asymmetry beyond that raises ValueError.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    scale = max(float(np.abs(a).max(initial=0.0)), np.finfo(float).tiny)
+    if float(np.abs(a - a.T).max(initial=0.0)) > rtol * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+    r, c = _lower_tri_indices(a.shape[0])
+    return a[r, c]
+
+
 def compatibility_residual(P_i: np.ndarray, P_j: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """10-vector vech(S + S^T) with S = P_j^T F P_i.
+    """10-vector vech(S + S^T) with S = P_j^T F P_i, for one pair or for
+    leading batch axes, shape (..., 10).
 
     Vanishes exactly when F is proportional to the fundamental matrix of the
     pair; homogeneous of degree one in each argument.
     """
-    S = np.asarray(P_j).T @ np.asarray(F) @ np.asarray(P_i)
-    return vech(S + S.T, rtol=np.inf)
+    S = np.swapaxes(np.asarray(P_j), -1, -2) @ np.asarray(F) @ np.asarray(P_i)
+    r, c = _lower_tri_indices(4)
+    return (S + np.swapaxes(S, -1, -2))[..., r, c]
+
+
+# entry k of vech(S + S^T) is S[r, c] + S[c, r], (r, c) = _lower_tri_indices(4)[k],
+# so _C4[k] is 1 at (r, c) and (c, r), 2 where they meet.  _C4.reshape(10, 16)
+# maps vec(S) to vech(S + S^T); as (10, 4, 4), C @ kron(I4, A) is one einsum
+_C4 = np.zeros((10, 4, 4))
+np.add.at(_C4, (np.arange(10), *_lower_tri_indices(4)), 1.0)
+np.add.at(_C4, (np.arange(10), *_lower_tri_indices(4)[::-1]), 1.0)
+_C4.setflags(write=False)
+
+
+def _sym_camera_blocks(A: np.ndarray) -> np.ndarray:
+    """``_C4.reshape(10, 16) @ kron(I4, A)`` for a (..., 4, 3) batch of A,
+    shape (..., 10, 12): the derivative of vech(S + S^T) with respect to vec
+    of a camera P when S or S^T is A @ P.  Integer A gives an integer result."""
+    A = np.asarray(A)
+    C4 = _C4.astype(A.dtype, copy=False)  # entries 0, 1, 2
+    out = np.einsum("rab,ebc->erac", C4, A.reshape(-1, 4, 3))
+    return out.reshape(A.shape[:-2] + (10, 12))
+
+
+def _edge_blocks(Pi, Pj, F, prime: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(m, 10, 12) derivatives of every edge residual vech(S + S^T),
+    S = Pj^T F Pi, with respect to camera i and to camera j.  With ``prime``
+    the inputs are int64 residues and the 3-term dot products are reduced
+    before they meet the operator, so no sum passes 2^63."""
+    PjTF = np.einsum("eka,ekl->eal", Pj, F)                     # (m, 4, 3)
+    FPiT = np.einsum("ekl,elb->ekb", F, Pi).transpose(0, 2, 1)  # (m, 4, 3)
+    if prime is not None:
+        PjTF %= prime
+        FPiT %= prime
+    block_i, block_j = _sym_camera_blocks(PjTF), _sym_camera_blocks(FPiT)
+    if prime is not None:
+        block_i %= prime
+        block_j %= prime
+    return block_i, block_j
+
+
+def residual_jac_cam_j(P_i: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """10x12 Jacobian of the compatibility residual w.r.t. vec of the second
+    camera of the pair (the one multiplying F transposed in S = Pj^T F Pi)."""
+    return _sym_camera_blocks((np.asarray(F, dtype=float) @ np.asarray(P_i)).T)
+
+
+def residual_jac_cam_i(P_j: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """10x12 Jacobian of the compatibility residual w.r.t. vec of the first
+    camera of the pair."""
+    return _sym_camera_blocks(np.asarray(P_j, dtype=float).T @ np.asarray(F))
+
+
+def residual_jac_fmat(P_i: np.ndarray, P_j: np.ndarray) -> np.ndarray:
+    """10x9 Jacobian of the compatibility residual w.r.t. vec(F).
+
+    For generic cameras with distinct centers this matrix has rank 8 and its
+    kernel is spanned by vec of the pair's fundamental matrix.
+    """
+    return _C4.reshape(10, 16) @ np.kron(np.asarray(P_i).T, np.asarray(P_j).T)
 
 
 def _generic_draw(

@@ -144,10 +144,13 @@ def enumerate_candidates(n: int):
         yield g
 
 
-def _map_tasks(fn, tasks: list, threads: int) -> list:
-    """``[fn(t) for t in tasks]`` on at most ``threads`` workers, cores or tasks."""
+def _check_threads(threads: int) -> None:
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+
+
+def _map_tasks(fn, tasks: list, threads: int) -> list:
+    """``[fn(t) for t in tasks]`` on at most ``threads`` workers, cores or tasks."""
     workers = min(threads, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
@@ -195,6 +198,7 @@ def mine_minimal(
     the work is scheduled.
     """
     _check_tolerance(tolerance)
+    _check_threads(threads)
     cands = list(enumerate_candidates(n))
 
     def check(g: ViewingGraph) -> bool:
@@ -282,6 +286,7 @@ def density_sweep(
     no rank test before its components.
     """
     _check_tolerance(tolerance)
+    _check_threads(threads)
     if not 0 < density_percent <= 100:
         raise ValueError("density must be in (0, 100]")
     if samples < 1:

@@ -10,12 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from vgsolve.calculus import (
-    residual_jac_cam_i,
-    residual_jac_cam_j,
-    residual_jac_fmat,
-    vec,
-)
 from vgsolve.cli import main
 from vgsolve.engine import (
     assemble_jacobian,
@@ -30,6 +24,10 @@ from vgsolve.geometry import (
     fundamental_matrix,
     normalize_projective,
     random_generic_configuration,
+    residual_jac_cam_i,
+    residual_jac_cam_j,
+    residual_jac_fmat,
+    vec,
 )
 from vgsolve.graph import ViewingGraph
 from vgsolve.mining import density_sweep, mine_minimal, sample_graph

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from vgsolve.calculus import (
+from vgsolve.geometry import (
+    _C4,
+    _edge_blocks,
     _sym_camera_blocks,
-    commutation_matrix,
-    elimination_matrix,
+    compatibility_residual,
+    fundamental_matrix,
     residual_jac_cam_i,
     residual_jac_cam_j,
     residual_jac_fmat,
     vec,
     vech,
-    vech_sym_operator,
 )
-from vgsolve.engine import _edge_blocks
-from vgsolve.geometry import compatibility_residual, fundamental_matrix
 
 
 def central_diff(f, M, step_scale=1e-5):
@@ -74,46 +73,15 @@ def test_vech_rejects_asymmetric():
         vech(np.zeros((2, 3)))
 
 
-def test_vech_equals_elimination_times_vec():
-    rng = np.random.default_rng(1)
-    L4 = elimination_matrix(4)
-    for _ in range(20):
-        X = rng.normal(size=(4, 4))
-        X = X + X.T
-        assert np.allclose(vech(X), L4 @ vec(X), atol=1e-12)
-
-
-def test_commutation_trivial():
-    assert commutation_matrix(1, 1).tolist() == [[1.0]]
-
-
-def test_commutation_definition():
-    rng = np.random.default_rng(2)
-    for s, t in [(2, 2), (3, 4), (4, 4), (1, 5)]:
-        K = commutation_matrix(s, t)
-        C = rng.normal(size=(s, t))
-        assert np.allclose(vec(C), K @ vec(C.T), atol=1e-12)
-        assert np.allclose(K @ K.T, np.eye(s * t), atol=1e-12)
-        assert np.allclose(K, commutation_matrix(t, s).T, atol=1e-12)
-
-
-def test_commutation_kron_swap():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        r, s, t, q = rng.integers(1, 5, size=4)
-        A = rng.normal(size=(r, s))
-        B = rng.normal(size=(t, q))
-        lhs = np.kron(B, A)
-        rhs = commutation_matrix(r, t) @ np.kron(A, B) @ commutation_matrix(q, s)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-
 def test_sym_operator_matches_s_plus_st():
     rng = np.random.default_rng(5)
-    op = vech_sym_operator(4)
+    op = _C4.reshape(10, 16)
     for _ in range(20):
         S = rng.normal(size=(4, 4))
         assert np.allclose(op @ vec(S), vech(S + S.T), atol=1e-12)
+    # exact on the 16 basis matrices, so exact on every S
+    for E in np.eye(16).reshape(16, 4, 4):
+        assert np.array_equal(op @ vec(E), vech(E + E.T))
 
 
 def test_camera_blocks_match_kron_definition():
@@ -122,7 +90,7 @@ def test_camera_blocks_match_kron_definition():
     batched = _sym_camera_blocks(A)
     assert batched.shape == (6, 10, 12)
     for k in range(6):
-        expected = vech_sym_operator(4) @ np.kron(np.eye(4), A[k])
+        expected = _C4.reshape(10, 16) @ np.kron(np.eye(4), A[k])
         assert np.allclose(batched[k], expected, rtol=0, atol=1e-14)
         assert np.array_equal(_sym_camera_blocks(A[k]), batched[k])
     ints = rng.integers(-5, 6, size=(3, 4, 3))

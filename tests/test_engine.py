@@ -15,7 +15,6 @@ from vgsolve.engine import (
     JacobianSystem,
     RankComputationError,
     _certificate,
-    _edge_blocks,
     _field_jacobian,
     _low_ritz_pairs,
     assemble_jacobian,
@@ -29,6 +28,7 @@ from vgsolve.engine import (
     null_space_basis,
 )
 from vgsolve.geometry import (
+    _edge_blocks,
     _fundamental_minors,
     compatibility_residual,
     fundamental_assignment,
@@ -465,8 +465,10 @@ def test_rank_reported_for_deficient_graph():
 
 
 def test_empty_seed_list_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seed list must not be empty"):
         finite_solvability(TRIANGLE, seeds=[])
+    with pytest.raises(ValueError, match="seed list must not be empty"):
+        maximal_components(TRIANGLE, seeds=[])
 
 
 def test_edgeless_graph_rejected():

@@ -11,6 +11,8 @@ from vgsolve.geometry import (
     fundamental_matrix,
     normalize_projective,
     random_generic_configuration,
+    residual_jac_fmat,
+    vech,
 )
 from vgsolve.graph import ViewingGraph
 
@@ -125,8 +127,6 @@ def test_residual_nonzero_for_random_rank2():
 def test_residual_zero_implies_proportional_to_fundamental():
     # build a matrix with vanishing residual from the constraint kernel and
     # check it matches the minors formula up to scale
-    from vgsolve.calculus import residual_jac_fmat
-
     rng = np.random.default_rng(7)
     for _ in range(50):
         A, B = random_pair(rng)
@@ -222,6 +222,19 @@ def test_normalize_projective():
     assert out[0, 1] > 0  # first nonzero entry made positive
     with pytest.raises(ValueError):
         normalize_projective(np.zeros((2, 2)))
+
+
+def test_residual_batched_equals_single():
+    rng = np.random.default_rng(14)
+    Pi, Pj = rng.normal(size=(2, 2, 5, 3, 4))
+    F = rng.normal(size=(2, 5, 3, 3))
+    out = compatibility_residual(Pi, Pj, F)
+    assert out.shape == (2, 5, 10)
+    for idx in np.ndindex(2, 5):
+        single = compatibility_residual(Pi[idx], Pj[idx], F[idx])
+        assert np.array_equal(out[idx], single)
+        S = Pj[idx].T @ F[idx] @ Pi[idx]
+        assert np.array_equal(single, vech(S + S.T, rtol=np.inf))
 
 
 def test_normalize_projective_batched_equals_single():

@@ -208,6 +208,47 @@ def test_rejected_sweep_sample_is_assembled_only_for_its_components(monkeypatch)
     assert outside == [] and len(entered) == 4 and len(inside) >= 1
 
 
+def test_sweep_runs_the_rank_test_on_samples_the_certificate_leaves_open(monkeypatch):
+    # K_{2,3} is solvable; the n=9 graph passes the count bound 84 = 11n - 15
+    # but has rank_jp 83, and its 12 edges are 12 components
+    import vgsolve.mining as mining
+
+    k23 = ViewingGraph(5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)))
+    tight = ViewingGraph(9, ((1, 3), (2, 3), (0, 4), (3, 4), (0, 5), (2, 5),
+                             (0, 6), (2, 6), (0, 7), (1, 7), (0, 8), (1, 8)))
+    assert mining._certificate(k23) is None and mining._certificate(tight) is None
+    samples = iter([k23, tight])
+    calls = []
+    solve = mining.finite_solvability
+
+    def counted(g, **kwargs):
+        calls.append(g)
+        return solve(g, **kwargs)
+
+    monkeypatch.setattr(mining, "sample_graph", lambda n, m, rng: next(samples))
+    monkeypatch.setattr(mining, "finite_solvability", counted)
+    res = density_sweep(9, 30.0, 2, 1)
+    assert calls == [k23, tight]
+    assert res.fin_solv_count == 1
+    assert (res.component_count_min, res.component_count_max) == (1, 12)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: mine_minimal(9, threads=0),
+    lambda: density_sweep(20, 30.0, 2000, 1, threads=0),
+], ids=["mine_minimal", "density_sweep"])
+def test_threads_checked_before_any_work(monkeypatch, run):
+    import vgsolve.mining as mining
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before threads was checked")
+
+    monkeypatch.setattr(mining, "enumerate_candidates", unreachable)
+    monkeypatch.setattr(mining, "sample_graph", unreachable)
+    with pytest.raises(ValueError, match="threads"):
+        run()
+
+
 @pytest.mark.parametrize("run", [
     lambda tol: mine_minimal(3, tolerance=tol),
     lambda tol: density_sweep(8, 100.0, 2, seed=0, tolerance=tol),
