@@ -11,14 +11,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from .engine import (
     DEFAULT_MASTER_SEED,
-    DEFAULT_TOLERANCE,
     _assemble_for_seed,
     derive_seeds,
     export_matrix_market,
@@ -46,16 +44,6 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _unit_interval(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < 1:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {raw!r}")
-    return value
-
-
 def _parse_seed_list(raw: str) -> list[int]:
     try:
         seeds = [int(tok) for tok in raw.replace(",", " ").split()]
@@ -63,6 +51,8 @@ def _parse_seed_list(raw: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad seed list {raw!r}") from None
     if not seeds:
         raise argparse.ArgumentTypeError("seed list must not be empty")
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {min(seeds)}")
     return seeds
 
 
@@ -70,10 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vgsolve",
         description="Finite-solvability analysis of structure-from-motion viewing graphs",
-    )
-    parser.add_argument(
-        "--tolerance", type=_unit_interval, default=DEFAULT_TOLERANCE,
-        help="relative rank tolerance in (0, 1) (default %(default)g)",
     )
     parser.add_argument(
         "--seeds", type=_parse_seed_list, default=None, metavar="S1,S2,...",
@@ -151,7 +137,7 @@ def _load_graph(path: str):
 
 def cmd_check(args) -> int:
     g = _load_graph(args.path)
-    report = finite_solvability(g, seeds=args.seeds, tolerance=args.tolerance)
+    report = finite_solvability(g, seeds=args.seeds)
     if args.export_matrix:
         seed = (args.seeds or derive_seeds())[0]
         export_matrix_market(_assemble_for_seed(g, seed, None), args.export_matrix)
@@ -182,7 +168,7 @@ def cmd_check(args) -> int:
 
 def cmd_components(args) -> int:
     g = _load_graph(args.path)
-    part = maximal_components(g, seeds=args.seeds, tolerance=args.tolerance)
+    part = maximal_components(g, seeds=args.seeds)
     if args.format == "json":
         _emit(_json_dump(part.to_dict()))
     else:
@@ -195,7 +181,7 @@ def cmd_components(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    result = mine_minimal(args.n, tolerance=args.tolerance, threads=args.threads)
+    result = mine_minimal(args.n, threads=args.threads)
     if args.witnesses_dir:
         outdir = Path(args.witnesses_dir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -215,10 +201,7 @@ def cmd_mine(args) -> int:
 
 def cmd_sweep(args) -> int:
     seed = (args.seeds or [DEFAULT_MASTER_SEED])[0]
-    result = density_sweep(
-        args.n, args.density, args.samples, seed,
-        tolerance=args.tolerance, threads=args.threads,
-    )
+    result = density_sweep(args.n, args.density, args.samples, seed, threads=args.threads)
     if args.format == "json":
         _emit(_json_dump(result.to_dict()))
     elif args.format == "csv":

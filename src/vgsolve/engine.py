@@ -65,7 +65,8 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MASTER_SEED = 42
 DEFAULT_SEED_COUNT = 5
-# modular prime: small enough that a*b and 3-term dot products fit in int64
+# the one modular prime, at which the exact path was validated: a*b and 3-term
+# dot products of its residues fit in int64
 DEFAULT_PRIME = 1_000_000_007
 
 NODE_BLOCK_REL_TOL = 1e-6  # a 12-row kernel block below this (relative) is "zero"
@@ -80,11 +81,12 @@ _RITZ_WATCH = 1e-6  # Ritz values below this share of sigma_max must settle
 _RITZ_GUARD = 1e-3  # a kernel block grows until it holds a Ritz value above this
 _RITZ_SETTLED = 1e-10  # relative change per step that counts as settled
 _RITZ_FLOOR = 64 * np.finfo(float).eps  # change (share of sigma_max) at rounding level
-# A seed decides the verdict when q = sigma_min / (tolerance * sigma_max) lies
-# outside (_BAND_LOW, _BAND_HIGH); otherwise the next seed, and after the last
-# the GF(p) rank, decides.  Over about 2000 seed evaluations of graphs the
-# certificate leaves open (the 111 of mine 9, and random graphs at n = 20, 40
-# and 60 of 5-20% density, checked against the GF(p) rank) a deficient q never
+# A seed decides the verdict when q = sigma_min / (DEFAULT_TOLERANCE *
+# sigma_max) lies outside (_BAND_LOW, _BAND_HIGH); otherwise the next seed,
+# and after the last the GF(p) rank, decides.  The evidence holds at this one
+# threshold: over about 2000 seed evaluations of graphs the certificate
+# leaves open (the 111 of mine 9, and random graphs at n = 20, 40 and 60 of
+# 5-20% density, checked against the GF(p) rank) a deficient q never
 # exceeded 2.1e-8 and a solvable q never fell below 1.17; 50 of them, all
 # solvable, landed inside the band.
 _BAND_LOW = 1e-3
@@ -98,25 +100,25 @@ class RankComputationError(RuntimeError):
     raised for an exact rank whose dense matrix would be too large."""
 
 
-def _check_tolerance(tolerance: float) -> None:
-    if not 0 < tolerance < 1:  # also rejects NaN
-        raise ValueError(f"tolerance must lie in (0, 1), got {tolerance}")
-
-
-def derive_seeds(master: int = DEFAULT_MASTER_SEED, count: int = DEFAULT_SEED_COUNT) -> tuple[int, ...]:
-    """Derive a reproducible list of independent RNG seeds from one master seed."""
+def derive_seeds(
+    key: int | tuple[int, ...] = DEFAULT_MASTER_SEED, count: int = DEFAULT_SEED_COUNT
+) -> tuple[int, ...]:
+    """Derive a reproducible list of independent 32-bit RNG seeds from one
+    non-negative key: a master seed, or a tuple such as (master, k)."""
     if count < 1:
         raise ValueError("need at least one seed")
-    state = np.random.SeedSequence(master).generate_state(count)
+    state = np.random.SeedSequence(key).generate_state(count)
     return tuple(int(x) for x in state)
 
 
 def _seed_tuple(seeds) -> tuple[int, ...]:
     """The given seeds as ints, or derive_seeds() for None; an empty list
-    raises ValueError."""
+    or a negative seed raises ValueError."""
     seeds = derive_seeds() if seeds is None else tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("seed list must not be empty")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
     return seeds
 
 
@@ -335,10 +337,8 @@ def _low_spectrum(
     return s, smax, V
 
 
-def is_full_column_rank(
-    system: JacobianSystem, tolerance: float = DEFAULT_TOLERANCE
-) -> tuple[bool, float, float]:
-    """Test sigma_min(J) > tolerance * sigma_max(J).
+def is_full_column_rank(system: JacobianSystem) -> tuple[bool, float, float]:
+    """Test sigma_min(J) > DEFAULT_TOLERANCE * sigma_max(J).
 
     Uses a dense SVD for systems of at most 40M entries.  Larger ones with
     at most 8000 columns factor J^T J once (Cholesky) and take sigma_min as
@@ -348,27 +348,23 @@ def is_full_column_rank(
     system with fewer rows than columns can never have full column rank
     and reports sigma_min = 0 on every path.
     """
-    _check_tolerance(tolerance)
     s, smax, _ = _low_spectrum(system.matrix, "rank")
-    return bool(s[0] > tolerance * smax), float(s[0]), smax
+    return bool(s[0] > DEFAULT_TOLERANCE * smax), float(s[0]), smax
 
 
-def null_space_basis(
-    system: JacobianSystem, tolerance: float = DEFAULT_TOLERANCE
-) -> np.ndarray:
+def null_space_basis(system: JacobianSystem) -> np.ndarray:
     """Orthonormal basis of the numerical kernel of J (12n x k), columns in
     ascending order of their singular values.
 
-    Kernel directions are right singular vectors with sigma <= tolerance *
-    sigma_max; a finite-solvable system yields k = 0.  Systems of at most
-    40M entries use a dense SVD; larger ones with at most 8000 columns the
-    Ritz vectors of the Cholesky-based block inverse iteration, with the
-    block widened until it holds every direction that iteration cannot
-    resolve; wider ones raise RankComputationError.
+    Kernel directions are right singular vectors with sigma <=
+    DEFAULT_TOLERANCE * sigma_max; a finite-solvable system yields k = 0.
+    Systems of at most 40M entries use a dense SVD; larger ones with at
+    most 8000 columns the Ritz vectors of the Cholesky-based block inverse
+    iteration, with the block widened until it holds every direction that
+    iteration cannot resolve; wider ones raise RankComputationError.
     """
-    _check_tolerance(tolerance)
     s, smax, V = _low_spectrum(system.matrix, "kernel")
-    return V[:, s <= tolerance * smax]
+    return V[:, s <= DEFAULT_TOLERANCE * smax]
 
 
 @dataclass(frozen=True)
@@ -382,7 +378,8 @@ class SolvabilityReport:
     ``rank_jp`` is the sum over its biconnected blocks, each decided on
     its own: no whole-graph sigmas, no seeds listed).  ``seeds`` are the
     seeds evaluated, ``agreement`` the float verdict of each, and the
-    sigmas are those of the first.
+    sigmas are those of the first.  ``tolerance`` is always
+    DEFAULT_TOLERANCE, the one rank threshold.
     """
 
     finite_solvable: bool
@@ -484,7 +481,6 @@ def _block_graph(g: ViewingGraph, block: tuple[int, ...]) -> tuple[list[int], Vi
 def _decide(
     g: ViewingGraph,
     seeds: tuple[int, ...],
-    tolerance: float,
     gauge_edge: tuple[int, int] | None = None,
     need: str = "rank",
 ) -> tuple[SolvabilityReport, np.ndarray | None]:
@@ -492,7 +488,7 @@ def _decide(
     the biconnected graph g, gauged on ``gauge_edge``.  A graph the growth
     certificate covers takes no camera.  Otherwise each seed takes one
     ``need`` pass of _low_spectrum and decides when its ratio
-    q = sigma_min / (tolerance * sigma_max) lies outside the band
+    q = sigma_min / (DEFAULT_TOLERANCE * sigma_max) lies outside the band
     (_BAND_LOW, _BAND_HIGH); when none does, the GF(p) rank decides.
     Returns the report and the ascending right singular vectors of the
     last pass (None without a pass, or for a dense "rank" pass)."""
@@ -506,7 +502,7 @@ def _decide(
         for seed in seeds:
             J = _assemble_for_seed(g, seed, gauge_edge).matrix
             s, smax, V = _low_spectrum(J, need)
-            floor = tolerance * smax
+            floor = DEFAULT_TOLERANCE * smax
             if not verdicts:
                 sigmas = float(s[0]), smax
             verdicts.append(bool(s[0] > floor))
@@ -521,7 +517,7 @@ def _decide(
         expected_rank=expected,
         sigma_min=sigmas[0],
         sigma_max=sigmas[1],
-        tolerance=tolerance,
+        tolerance=DEFAULT_TOLERANCE,
         seeds=seeds[: len(verdicts)],
         agreement=tuple(verdicts),
         path=path,
@@ -532,7 +528,6 @@ def _decide(
 def finite_solvability(
     g: ViewingGraph,
     seeds: list[int] | tuple[int, ...] | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> SolvabilityReport:
     """Decide finite solvability by the full-rank test at a random generic
     configuration: the seeds are tried in order and the first decisive one
@@ -542,12 +537,12 @@ def finite_solvability(
     ``rank_jp`` needs it.
 
     Each seed costs one spectral pass and decides unless its ratio
-    q = sigma_min / (tolerance * sigma_max) lies in an ambiguity band about
-    1 (see _decide): solvable above it with ``rank_jp = 11n - 15``,
-    deficient below it with ``rank_jp`` short by the singular values at or
-    below ``tolerance * sigma_max``.  When no seed decides, the exact rank
-    over GF(p) does (``path`` "exact"): full rank mod p proves full rank
-    over Q.
+    q = sigma_min / (DEFAULT_TOLERANCE * sigma_max) lies in an ambiguity
+    band about 1 (see _decide): solvable above it with
+    ``rank_jp = 11n - 15``, deficient below it with ``rank_jp`` short by the
+    singular values at or below ``DEFAULT_TOLERANCE * sigma_max``.  When
+    no seed decides, the exact rank over GF(p) does (``path`` "exact"):
+    full rank mod p proves full rank over Q.
 
     A graph that is not biconnected is not finite solvable, and its
     ``rank_jp`` is the sum over its biconnected blocks (``path``
@@ -559,16 +554,15 @@ def finite_solvability(
     adds 7 (the dof of F), a node without edges 0, and any other block the
     ``rank_jp`` that the same certificate, seeds and GF(p) rank give it.
     """
-    _check_tolerance(tolerance)
     seeds = _seed_tuple(seeds)
     if g.edge_count == 0:
         raise ValueError("graph has no edges")
     pieces, cuts, blocks = g.block_cut
     if pieces == 1 and not cuts:
-        return _decide(g, seeds, tolerance)[0]
+        return _decide(g, seeds)[0]
     t0 = time.perf_counter()
     rank_jp = sum(7 if len(block) == 1
-                  else _decide(_block_graph(g, block)[1], seeds, tolerance)[0].rank_jp
+                  else _decide(_block_graph(g, block)[1], seeds)[0].rank_jp
                   for block in blocks)
     return SolvabilityReport(
         finite_solvable=False,
@@ -576,7 +570,7 @@ def finite_solvability(
         expected_rank=11 * g.node_count - 15,
         sigma_min=None,
         sigma_max=None,
-        tolerance=tolerance,
+        tolerance=DEFAULT_TOLERANCE,
         seeds=(),
         agreement=(),
         path="blocks",
@@ -616,26 +610,20 @@ class ComponentPartition:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _iteration_seed(master: int, iteration: int) -> int:
-    return int(np.random.SeedSequence((master, iteration)).generate_state(1)[0])
-
-
-def _fixed_nodes(
-    g: ViewingGraph, block: tuple[int, ...], seed: int, tolerance: float
-) -> set[int] | None:
+def _fixed_nodes(g: ViewingGraph, block: tuple[int, ...], seed: int) -> set[int] | None:
     """The nodes of g's edges ``block`` fixed with its first edge as gauge,
     or None when the block is finite solvable and all of them are.
 
     The block is decided as check decides a biconnected graph, with the
     one seed ``seed``.  A deficient block reads the 12-row node blocks of
     its kernel, the lowest 11n - 15 - rank_jp vectors of that seed's pass:
-    on the float path those at or below tolerance * sigma_max, on the exact
-    path as many as the GF(p) rank is short.  (The large-system pass holds
-    every direction below _RITZ_GUARD * sigma_max, which covers the band
-    at any tolerance up to 1e-6.)
+    on the float path those at or below DEFAULT_TOLERANCE * sigma_max, on
+    the exact path as many as the GF(p) rank is short.  (The large-system
+    pass holds every direction below _RITZ_GUARD * sigma_max, which covers
+    the band at this threshold: _BAND_HIGH * DEFAULT_TOLERANCE = 1e-5.)
     """
     nodes, sub = _block_graph(g, block)
-    report, V = _decide(sub, (seed,), tolerance, sub.edges[0], "kernel")
+    report, V = _decide(sub, (seed,), sub.edges[0], "kernel")
     if report.finite_solvable:
         return None
     kernel = V[:, : report.expected_rank - report.rank_jp]
@@ -646,7 +634,6 @@ def _fixed_nodes(
 def maximal_components(
     g: ViewingGraph,
     seeds: list[int] | tuple[int, ...] | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> ComponentPartition:
     """Partition the edges into maximal finite-solvable components.
 
@@ -658,9 +645,8 @@ def maximal_components(
     gauged on that edge and decided (see _fixed_nodes): a bridge or a
     solvable block is one component; otherwise its edges between fixed
     nodes are, and the edges left over are split into blocks again.
-    Component k takes the seed _iteration_seed(seeds[0], k).
+    Component k takes the seed derive_seeds((seeds[0], k), 1)[0].
     """
-    _check_tolerance(tolerance)
     master = _seed_tuple(seeds)[0]
     assignment = [-1] * g.edge_count
     components: list[Component] = []
@@ -670,7 +656,7 @@ def maximal_components(
         _, block = heapq.heappop(pending)
         comp_edges = block
         if len(block) > 1:
-            fixed = _fixed_nodes(g, block, _iteration_seed(master, len(components)), tolerance)
+            fixed = _fixed_nodes(g, block, derive_seeds((master, len(components)), 1)[0])
             if fixed is not None:
                 comp_edges = [k for k in block if fixed.issuperset(g.edges[k])]
                 if not comp_edges:
@@ -739,17 +725,13 @@ def _field_jacobian(g: ViewingGraph, prime: int, rng: np.random.Generator) -> np
     )
 
 
-def finite_field_rank(
-    g: ViewingGraph, prime: int = DEFAULT_PRIME, seed: int = 0
-) -> int:
-    """Rank over GF(prime) of the augmented Jacobian at uniformly random
-    field cameras.  All block formulas are polynomial, so the evaluation is
-    exact; full rank (12n) certifies the floating-point verdict.  A system
-    of more than _DENSE_SVD_MAX_ENTRIES entries raises RankComputationError
-    before its dense matrix is built.
+def finite_field_rank(g: ViewingGraph, *, seed: int = 0) -> int:
+    """Rank over GF(DEFAULT_PRIME) of the augmented Jacobian at uniformly
+    random field cameras.  All block formulas are polynomial, so the
+    evaluation is exact; full rank (12n) certifies the floating-point
+    verdict.  A system of more than _DENSE_SVD_MAX_ENTRIES entries raises
+    RankComputationError before its dense matrix is built.
     """
-    if prime <= 2**20:
-        raise ValueError("prime must exceed 2^20")
     if g.edge_count == 0:
         raise ValueError("graph has no edges")
     rows, cols = 10 * g.edge_count + g.node_count + 15, 12 * g.node_count
@@ -758,7 +740,11 @@ def finite_field_rank(
             f"a {rows}x{cols} system is too large for the exact rank: more than "
             f"{_DENSE_SVD_MAX_ENTRIES} entries in its dense int64 matrix"
         )
-    return _rank_mod_p(_field_jacobian(g, prime, np.random.default_rng(seed)), prime)
+    # passed, not named: once _rank_mod_p has its reduced copy the dense
+    # matrix is freed, so only one of the two is alive during elimination
+    return _rank_mod_p(
+        _field_jacobian(g, DEFAULT_PRIME, np.random.default_rng(seed)), DEFAULT_PRIME
+    )
 
 
 def matrix_dims(g: ViewingGraph) -> dict[str, float | int]:

@@ -15,7 +15,6 @@ canonical adjacency code.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -25,10 +24,8 @@ from itertools import combinations
 import numpy as np
 
 from .engine import (
-    DEFAULT_SEED_COUNT,
-    DEFAULT_TOLERANCE,
     _certificate,
-    _check_tolerance,
+    derive_seeds,
     finite_solvability,
     maximal_components,
 )
@@ -158,13 +155,6 @@ def _map_tasks(fn, tasks: list, threads: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _candidate_seeds(code_int: int, count: int) -> list[int]:
-    payload = code_int.to_bytes(max(1, (code_int.bit_length() + 7) // 8), "big")
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    base = int.from_bytes(digest, "big") % 2**32
-    return [(base + k) % 2**32 for k in range(count)]
-
-
 @dataclass(frozen=True)
 class MiningResult:
     """Candidate and pass counts for one node count, plus the passing graphs."""
@@ -185,11 +175,7 @@ class MiningResult:
         }
 
 
-def mine_minimal(
-    n: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-    threads: int = 1,
-) -> MiningResult:
+def mine_minimal(n: int, *, threads: int = 1) -> MiningResult:
     """Test every enumeration candidate for finite solvability.
 
     A candidate the growth certificate or a necessary condition decides
@@ -197,7 +183,6 @@ def mine_minimal(
     candidate's canonical form, so results are reproducible no matter how
     the work is scheduled.
     """
-    _check_tolerance(tolerance)
     _check_threads(threads)
     cands = list(enumerate_candidates(n))
 
@@ -205,8 +190,8 @@ def mine_minimal(
         certified = _certificate(g)
         if certified is not None:
             return certified
-        seeds = _candidate_seeds(canonical_form(g), DEFAULT_SEED_COUNT)
-        return finite_solvability(g, seeds=seeds, tolerance=tolerance).finite_solvable
+        seeds = derive_seeds(canonical_form(g))
+        return finite_solvability(g, seeds=seeds).finite_solvable
 
     flags = _map_tasks(check, cands, threads)
     witnesses = tuple(g for g, ok in zip(cands, flags) if ok)
@@ -277,7 +262,7 @@ def density_sweep(
     density_percent: float,
     samples: int,
     seed: int,
-    tolerance: float = DEFAULT_TOLERANCE,
+    *,
     threads: int = 1,
 ) -> SweepResult:
     """Sample random graphs at a fixed edge density and count how many pass
@@ -285,7 +270,6 @@ def density_sweep(
     A sample the growth certificate or a necessary condition decides takes
     no rank test before its components.
     """
-    _check_tolerance(tolerance)
     _check_threads(threads)
     if not 0 < density_percent <= 100:
         raise ValueError("density must be in (0, 100]")
@@ -305,10 +289,10 @@ def density_sweep(
         g, job_seeds = job
         solvable = _certificate(g)
         if solvable is None:
-            solvable = finite_solvability(g, seeds=job_seeds, tolerance=tolerance).finite_solvable
+            solvable = finite_solvability(g, seeds=job_seeds).finite_solvable
         if solvable:
             return True, 1
-        comps = maximal_components(g, seeds=job_seeds[:1], tolerance=tolerance)
+        comps = maximal_components(g, seeds=job_seeds[:1])
         return False, len(comps.components)
 
     results = _map_tasks(run, jobs, threads)

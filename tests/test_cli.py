@@ -174,12 +174,12 @@ def test_check_json_deterministic_modulo_timing(triangle_file, capsys):
 
 
 def test_check_custom_seeds_and_tolerance(k23_file, capsys):
-    assert main(["--seeds", "1,2,3", "--tolerance", "1e-9",
-                 "--format", "json", "check", k23_file]) == 0
+    # the seeds are the caller's; the tolerance is the one fixed threshold
+    assert main(["--seeds", "1,2,3", "--format", "json", "check", k23_file]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["seeds"] == [1]
     assert payload["agreement"] == [True]
-    assert payload["tolerance"] == 1e-9
+    assert payload["tolerance"] == 1e-8
 
 
 def test_check_export_matrix(triangle_file, tmp_path, capsys):
@@ -220,8 +220,9 @@ def test_check_export_matrix_of_certified_graph_assembles_once(triangle_file, tm
     capsys.readouterr()
 
 
-def _reject_tolerance(tolerance, path, capsys, monkeypatch):
-    # rejected while the arguments are parsed: no graph read, no minors
+def _usage_error(argv, capsys, monkeypatch) -> str:
+    """Run main(argv), which must be refused while the arguments are
+    parsed (exit 2, no graph read, no minors), and return its stderr."""
     calls = []
     minors = geometry._fundamental_minors
 
@@ -231,12 +232,19 @@ def _reject_tolerance(tolerance, path, capsys, monkeypatch):
 
     monkeypatch.setattr(geometry, "_fundamental_minors", counted)
     with pytest.raises(SystemExit) as exc:
-        main(["--tolerance", tolerance, "check", path])
+        main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "tolerance" in captured.err
     assert calls == []
+    return captured.err
+
+
+def _reject_tolerance(tolerance, path, capsys, monkeypatch):
+    # the rank threshold is fixed: a --tolerance flag, whatever its value,
+    # is an unknown argument
+    err = _usage_error([f"--tolerance={tolerance}", "check", path], capsys, monkeypatch)
+    assert f"unrecognized arguments: --tolerance={tolerance}" in err
 
 
 def test_check_nan_tolerance_exit_two(triangle_file, capsys, monkeypatch):
@@ -247,6 +255,19 @@ def test_check_nan_tolerance_exit_two(triangle_file, capsys, monkeypatch):
 def test_check_tolerance_outside_unit_interval_exit_two(tolerance, tmp_path, capsys, monkeypatch):
     # the graph file does not exist: the flag is refused before it is read
     _reject_tolerance(tolerance, str(tmp_path / "absent.txt"), capsys, monkeypatch)
+
+
+def test_check_retired_tolerance_flag_exit_two(k23_file, capsys, monkeypatch):
+    # even a value inside (0, 1) no longer reaches the rank test
+    _usage_error(["--tolerance", "1e-4", "check", k23_file], capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("command", ["check", "components"])
+@pytest.mark.parametrize("graph", ["triangle_file", "k23_file"], ids=["certified", "open"])
+def test_negative_seed_exit_two(command, graph, request, capsys, monkeypatch):
+    path = request.getfixturevalue(graph)
+    err = _usage_error(["--seeds", "3,-5", command, path], capsys, monkeypatch)
+    assert "argument --seeds: seeds must be non-negative, got -5" in err
 
 
 def test_components_triangle(triangle_file, capsys):
@@ -336,7 +357,7 @@ def test_threads_below_one_rejected(threads, capsys):
 
 @pytest.mark.parametrize("argv,bad", [
     (["--threads", "two", "mine", "5"], "'two'"),
-    (["--tolerance", "x", "check", "absent.txt"], "'x'"),
+    (["sweep", "10", "x", "5"], "'x'"),
 ])
 def test_non_numeric_flag_message_is_plain(argv, bad, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -344,7 +365,7 @@ def test_non_numeric_flag_message_is_plain(argv, bad, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert bad in err
-    assert "_positive_int" not in err and "_unit_interval" not in err
+    assert "_positive_int" not in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "abc"])
@@ -382,9 +403,9 @@ def test_threads_env_sets_the_default(monkeypatch, capsys):
     seen = []
     mine_minimal = cli.mine_minimal
 
-    def recording(n, tolerance, threads):
+    def recording(n, *, threads):
         seen.append(threads)
-        return mine_minimal(n, tolerance=tolerance, threads=threads)
+        return mine_minimal(n, threads=threads)
 
     monkeypatch.setattr(cli, "mine_minimal", recording)
     monkeypatch.setenv("VGSOLVE_THREADS", "3")

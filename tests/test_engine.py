@@ -266,7 +266,9 @@ def test_fundamentals_evaluated_once_per_seed(monkeypatch):
     lambda tol, system=build_system(TRIANGLE): is_full_column_rank(system, tol),
 ], ids=["finite_solvability", "maximal_components", "null_space_basis", "is_full_column_rank"])
 def test_tolerance_outside_unit_interval_rejected(compute, tolerance, monkeypatch):
-    # rejected before any work: no camera draw, no spectrum
+    # the rank threshold is the fixed DEFAULT_TOLERANCE: a call that still
+    # passes one, in or out of (0, 1), is refused before any work (no
+    # camera draw, no spectrum) rather than run at a threshold never validated
     calls = []
 
     def counted(fn):
@@ -277,7 +279,7 @@ def test_tolerance_outside_unit_interval_rejected(compute, tolerance, monkeypatc
 
     monkeypatch.setattr(geometry, "_fundamental_minors", counted(geometry._fundamental_minors))
     monkeypatch.setattr(engine, "_low_spectrum", counted(engine._low_spectrum))
-    with pytest.raises(ValueError, match="tolerance"):
+    with pytest.raises(TypeError):
         compute(tolerance)
     assert calls == []
 
@@ -471,6 +473,18 @@ def test_empty_seed_list_rejected():
         maximal_components(TRIANGLE, seeds=[])
 
 
+@pytest.mark.parametrize("g", [TRIANGLE, K23], ids=["certified", "open"])
+@pytest.mark.parametrize("compute", [finite_solvability, maximal_components])
+def test_negative_seed_rejected_before_any_work(compute, g, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the seeds were checked")
+
+    monkeypatch.setattr(engine, "_certificate", unreachable)
+    monkeypatch.setattr(engine, "_assemble_for_seed", unreachable)
+    with pytest.raises(ValueError, match="seeds must be non-negative, got -5"):
+        compute(g, seeds=[3, -5])
+
+
 def test_edgeless_graph_rejected():
     with pytest.raises(ValueError):
         finite_solvability(ViewingGraph(3, ()))
@@ -635,8 +649,12 @@ def test_finite_field_small_cases():
 
 
 def test_finite_field_prime_guard():
-    with pytest.raises(ValueError):
+    # the prime is the fixed DEFAULT_PRIME; a stale positional prime must not
+    # become the seed
+    with pytest.raises(TypeError):
         finite_field_rank(TRIANGLE, prime=97)
+    with pytest.raises(TypeError):
+        finite_field_rank(TRIANGLE, DEFAULT_PRIME)
 
 
 def test_finite_field_size_guard(monkeypatch):
@@ -788,6 +806,9 @@ def test_derive_seeds_deterministic():
     assert derive_seeds(42, 5) == derive_seeds(42, 5)
     assert derive_seeds(42, 5) != derive_seeds(43, 5)
     assert len(set(derive_seeds(42, 5))) == 5
+    # a tuple key, as the component loop uses: a prefix of a longer draw
+    assert derive_seeds((42, 3), 1) == derive_seeds((42, 3), 5)[:1]
+    assert derive_seeds((42, 3), 1) != derive_seeds((42, 4), 1)
 
 
 def test_provenance_blocks():
@@ -898,7 +919,7 @@ def _kernel_components(g, master):
         sub = ViewingGraph(len(nodes), tuple((relabel[i], relabel[j])
                                              for i, j in (g.edges[k] for k in ids)))
         kernel = null_space_basis(
-            engine._assemble_for_seed(sub, engine._iteration_seed(master, cid), sub.edges[0]))
+            engine._assemble_for_seed(sub, derive_seeds((master, cid), 1)[0], sub.edges[0]))
         fixed = set(nodes)
         if kernel.shape[1]:
             norms = np.linalg.norm(kernel.reshape(len(nodes), 12, -1), axis=(1, 2))

@@ -254,9 +254,20 @@ def test_threads_checked_before_any_work(monkeypatch, run):
     lambda tol: density_sweep(8, 100.0, 2, seed=0, tolerance=tol),
 ], ids=["mine_minimal", "density_sweep"])
 def test_tolerance_checked_even_when_certificates_decide(run):
-    # n=3 and complete graphs are all certified: no rank test would see it
-    with pytest.raises(ValueError, match="tolerance"):
+    # the rank threshold is fixed; a call that still passes one is refused,
+    # even where (n=3, complete graphs) every graph is certified
+    with pytest.raises(TypeError):
         run(float("nan"))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: mine_minimal(3, 2),
+    lambda: density_sweep(8, 100.0, 2, 0, 2),
+], ids=["mine_minimal", "density_sweep"])
+def test_threads_is_keyword_only(run):
+    # the slot a retired tolerance held: a stale positional value is refused
+    with pytest.raises(TypeError):
+        run()
 
 
 def test_sweep_validation():

@@ -25,3 +25,12 @@ def test_retired_calculus_module_and_helpers_are_gone():
     for name in ("commutation_matrix", "elimination_matrix", "vech_sym_operator"):
         assert not hasattr(vgsolve, name)
         assert not hasattr(geometry, name)
+
+
+def test_rank_threshold_and_prime_are_not_parameters():
+    # one validated configuration: DEFAULT_TOLERANCE and DEFAULT_PRIME
+    for fn in (vgsolve.finite_solvability, vgsolve.maximal_components, vgsolve.mine_minimal,
+               vgsolve.density_sweep, vgsolve.is_full_column_rank, vgsolve.null_space_basis):
+        assert "tolerance" not in inspect.signature(fn).parameters, fn.__name__
+    assert "prime" not in inspect.signature(vgsolve.finite_field_rank).parameters
+    assert (vgsolve.DEFAULT_TOLERANCE, vgsolve.DEFAULT_PRIME) == (1e-8, 1_000_000_007)
