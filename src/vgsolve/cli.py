@@ -63,9 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seeds", type=_parse_seed_list, default=None, metavar="S1,S2,...",
-        help="RNG seeds: check tries them in order until one decides, else the exact "
-             "GF(p) rank decides (default: 5 seeds derived from master seed 42); "
-             "components and sweep read the first; mine ignores them",
+        help="RNG seeds: check and components try them in order, per block, until one "
+             "decides, else the exact GF(p) rank decides (default: 5 seeds derived from "
+             "master seed 42); sweep seeds its sampler with the first; mine ignores them",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "csv"), default="text",

@@ -41,7 +41,7 @@ from .geometry import (
     _generic_draw,
     compatibility_residual,
 )
-from .graph import ViewingGraph, necessary_conditions
+from .graph import ViewingGraph
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -417,10 +417,10 @@ def _assemble_for_seed(
     return assemble_jacobian(g, *_generic_draw(g, seed), gauge_edge)
 
 
-def _certificate(g: ViewingGraph) -> bool | None:
-    """Decide finite solvability without a Jacobian where that is exact:
-    False when a graph on 3 or more nodes fails a necessary condition, True
-    when the growth closure of some edge covers every node, else None.
+def _certificate(g: ViewingGraph) -> bool:
+    """Prove finite solvability without a Jacobian: True when the growth
+    closure of some edge covers every node.  False proves nothing; the
+    graph is then left to the rank test.
 
     A closure starts from an edge's two cameras, finite solvable with their
     F (22 - 15 = 7 = dof F), and adds every node with 2 neighbours in the
@@ -431,11 +431,6 @@ def _certificate(g: ViewingGraph) -> bool | None:
     an earlier closure is skipped.
     """
     n = g.node_count
-    if n >= 3:
-        c = necessary_conditions(g)
-        if not (c.connected and c.biconnected and c.min_degree_ok
-                and c.no_adjacent_degree_two and c.edge_bound_ok):
-            return False
     adj = g.adjacency
     inside = [False] * n
     count = [0] * n  # neighbours in the growing set, for nodes outside it
@@ -466,7 +461,7 @@ def _certificate(g: ViewingGraph) -> bool | None:
             inside[x] = False
         for y in touched:
             count[y] = 0
-    return None
+    return False
 
 
 def _block_graph(g: ViewingGraph, block: tuple[int, ...]) -> tuple[list[int], ViewingGraph]:
@@ -532,9 +527,8 @@ def finite_solvability(
     """Decide finite solvability by the full-rank test at a random generic
     configuration: the seeds are tried in order and the first decisive one
     decides.  A graph the growth certificate covers is reported solvable
-    without a camera drawn (see _certificate); a biconnected graph that
-    fails a necessary condition still takes the rank test, since
-    ``rank_jp`` needs it.
+    without a camera drawn (see _certificate); any other biconnected graph
+    takes the rank test, which also gives its ``rank_jp``.
 
     Each seed costs one spectral pass and decides unless its ratio
     q = sigma_min / (DEFAULT_TOLERANCE * sigma_max) lies in an ambiguity
@@ -610,20 +604,22 @@ class ComponentPartition:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _fixed_nodes(g: ViewingGraph, block: tuple[int, ...], seed: int) -> set[int] | None:
+def _fixed_nodes(
+    g: ViewingGraph, block: tuple[int, ...], seeds: tuple[int, ...]
+) -> set[int] | None:
     """The nodes of g's edges ``block`` fixed with its first edge as gauge,
     or None when the block is finite solvable and all of them are.
 
-    The block is decided as check decides a biconnected graph, with the
-    one seed ``seed``.  A deficient block reads the 12-row node blocks of
-    its kernel, the lowest 11n - 15 - rank_jp vectors of that seed's pass:
+    The block is decided as check decides a biconnected graph, trying
+    ``seeds`` in order.  A deficient block reads the 12-row node blocks of
+    its kernel, the lowest 11n - 15 - rank_jp vectors of the last pass:
     on the float path those at or below DEFAULT_TOLERANCE * sigma_max, on
     the exact path as many as the GF(p) rank is short.  (The large-system
     pass holds every direction below _RITZ_GUARD * sigma_max, which covers
     the band at this threshold: _BAND_HIGH * DEFAULT_TOLERANCE = 1e-5.)
     """
     nodes, sub = _block_graph(g, block)
-    report, V = _decide(sub, (seed,), sub.edges[0], "kernel")
+    report, V = _decide(sub, seeds, sub.edges[0], "kernel")
     if report.finite_solvable:
         return None
     kernel = V[:, : report.expected_rank - report.rank_jp]
@@ -645,9 +641,9 @@ def maximal_components(
     gauged on that edge and decided (see _fixed_nodes): a bridge or a
     solvable block is one component; otherwise its edges between fixed
     nodes are, and the edges left over are split into blocks again.
-    Component k takes the seed derive_seeds((seeds[0], k), 1)[0].
+    Every block tries the seeds in order, as finite_solvability does.
     """
-    master = _seed_tuple(seeds)[0]
+    seeds = _seed_tuple(seeds)
     assignment = [-1] * g.edge_count
     components: list[Component] = []
     pending = [(block[0], block) for block in g.block_cut.blocks]
@@ -656,7 +652,7 @@ def maximal_components(
         _, block = heapq.heappop(pending)
         comp_edges = block
         if len(block) > 1:
-            fixed = _fixed_nodes(g, block, derive_seeds((master, len(components)), 1)[0])
+            fixed = _fixed_nodes(g, block, seeds)
             if fixed is not None:
                 comp_edges = [k for k in block if fixed.issuperset(g.edges[k])]
                 if not comp_edges:
@@ -732,6 +728,8 @@ def finite_field_rank(g: ViewingGraph, *, seed: int = 0) -> int:
     verdict.  A system of more than _DENSE_SVD_MAX_ENTRIES entries raises
     RankComputationError before its dense matrix is built.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if g.edge_count == 0:
         raise ValueError("graph has no edges")
     rows, cols = 10 * g.edge_count + g.node_count + 15, 12 * g.node_count

@@ -287,6 +287,8 @@ def _generic_draw(
     fundamental matrices on every edge, evaluated once.  A draw is redrawn
     when a camera is rank-deficient or fundamental_assignment finds
     coincident centers."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     for _ in range(GENERIC_RETRIES):
         cams = rng.uniform(-1.0, 1.0, size=(g.node_count, 3, 4))

@@ -23,12 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import (
-    _certificate,
-    derive_seeds,
-    finite_solvability,
-    maximal_components,
-)
+from .engine import finite_solvability, maximal_components
 from .graph import ViewingGraph, minimal_edge_count, necessary_conditions
 
 __all__ = [
@@ -141,6 +136,14 @@ def enumerate_candidates(n: int):
         yield g
 
 
+def _refuted(g: ViewingGraph) -> bool:
+    """True when g, on 3 or more nodes, fails a necessary condition, so no
+    rank test is needed to know it is not finite solvable."""
+    c = necessary_conditions(g)
+    return g.node_count >= 3 and not (c.biconnected and c.min_degree_ok
+                                      and c.no_adjacent_degree_two and c.edge_bound_ok)
+
+
 def _check_threads(threads: int) -> None:
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -178,20 +181,15 @@ class MiningResult:
 def mine_minimal(n: int, *, threads: int = 1) -> MiningResult:
     """Test every enumeration candidate for finite solvability.
 
-    A candidate the growth certificate or a necessary condition decides
-    takes no rank test.  Per-candidate RNG seeds are derived from the
-    candidate's canonical form, so results are reproducible no matter how
-    the work is scheduled.
+    A candidate that fails a necessary condition is refuted without a rank
+    test; every other one is decided by finite_solvability with its
+    default seeds, so results do not depend on how the work is scheduled.
     """
     _check_threads(threads)
     cands = list(enumerate_candidates(n))
 
     def check(g: ViewingGraph) -> bool:
-        certified = _certificate(g)
-        if certified is not None:
-            return certified
-        seeds = derive_seeds(canonical_form(g))
-        return finite_solvability(g, seeds=seeds).finite_solvable
+        return not _refuted(g) and finite_solvability(g).finite_solvable
 
     flags = _map_tasks(check, cands, threads)
     witnesses = tuple(g for g, ok in zip(cands, flags) if ok)
@@ -267,8 +265,9 @@ def density_sweep(
 ) -> SweepResult:
     """Sample random graphs at a fixed edge density and count how many pass
     the finite-solvability test; failures also report their component count.
-    A sample the growth certificate or a necessary condition decides takes
-    no rank test before its components.
+    A sample that fails a necessary condition takes no rank test before its
+    components.  Each sample draws five seeds, which finite_solvability and
+    then maximal_components try in order.
     """
     _check_threads(threads)
     if not 0 < density_percent <= 100:
@@ -279,21 +278,14 @@ def density_sweep(
     if m < 1:
         raise ValueError("density too low to place a single edge")
     rng = np.random.default_rng(seed)
-    jobs = []
-    for _ in range(samples):
-        g = sample_graph(n, m, rng)
-        job_seeds = [int(s) for s in rng.integers(0, 2**32, size=5)]
-        jobs.append((g, job_seeds))
+    jobs = [(sample_graph(n, m, rng), rng.integers(0, 2**32, size=5).tolist())
+            for _ in range(samples)]
 
     def run(job):
         g, job_seeds = job
-        solvable = _certificate(g)
-        if solvable is None:
-            solvable = finite_solvability(g, seeds=job_seeds).finite_solvable
-        if solvable:
+        if not _refuted(g) and finite_solvability(g, seeds=job_seeds).finite_solvable:
             return True, 1
-        comps = maximal_components(g, seeds=job_seeds[:1])
-        return False, len(comps.components)
+        return False, len(maximal_components(g, seeds=job_seeds).components)
 
     results = _map_tasks(run, jobs, threads)
     fin = sum(1 for ok, _ in results if ok)

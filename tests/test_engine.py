@@ -35,7 +35,7 @@ from vgsolve.geometry import (
     random_generic_configuration,
 )
 from vgsolve.graph import ViewingGraph, necessary_conditions, to_edge_list
-from vgsolve.mining import sample_graph
+from vgsolve.mining import _refuted, sample_graph
 
 TRIANGLE = ViewingGraph(3, ((0, 1), (1, 2), (0, 2)))
 SQUARE = ViewingGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
@@ -485,6 +485,17 @@ def test_negative_seed_rejected_before_any_work(compute, g, monkeypatch):
         compute(g, seeds=[3, -5])
 
 
+def test_negative_seed_named_by_field_rank_and_draw(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a field matrix was built before the seed was checked")
+
+    monkeypatch.setattr(engine, "_field_jacobian", unreachable)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        finite_field_rank(TRIANGLE, seed=-1)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        random_generic_configuration(TRIANGLE, -1)
+
+
 def test_edgeless_graph_rejected():
     with pytest.raises(ValueError):
         finite_solvability(ViewingGraph(3, ()))
@@ -615,7 +626,7 @@ def test_components_of_joined_strips(branch, monkeypatch):
     # JOINED_STRIPS is one uncertified block, so it takes one kernel; what
     # it leaves over is a certified strip and two bridges
     g = JOINED_STRIPS
-    assert necessary_conditions(g).biconnected and _certificate(g) is None
+    assert necessary_conditions(g).biconnected and _certificate(g) is False
     kernels = _count_kernels(monkeypatch)
     part = maximal_components(g, seeds=[3])
     assert len(kernels) == 1
@@ -872,11 +883,12 @@ def _soundness_cases():
 
 
 def test_certificate_is_sound():
-    # every certified verdict is checked against both rank tests: the float
-    # test on one assembled system and the exact rank over GF(p)
+    # every certified verdict, and every refutation of mine and sweep, is
+    # checked against both rank tests: the float test on one assembled
+    # system and the exact rank over GF(p)
     decided = {True: 0, False: 0, None: 0}
     for t, g in enumerate(_soundness_cases()):
-        verdict = _certificate(g)
+        verdict = False if _refuted(g) else (True if _certificate(g) else None)
         decided[verdict] += 1
         if verdict is None:
             continue
@@ -1092,6 +1104,22 @@ def test_in_band_block_takes_exact_rank(g, q, sizes, monkeypatch):
         maximal_components(g, seeds=[4])
 
 
+@pytest.mark.parametrize("g,sizes", [(K23, [6]), (SQUARE, [1, 1, 1, 1])], ids=["K23", "SQUARE"])
+def test_components_try_the_seeds_in_order(g, sizes, monkeypatch):
+    # the first pass lands inside the band, so the block passes to the
+    # second seed, which decides as it does for check
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a decisive second seed must not reach the exact rank")
+
+    expected = maximal_components(g, seeds=[4, 5])
+    returned = _in_band_spectrum(monkeypatch, 1)
+    monkeypatch.setattr(engine, "finite_field_rank", forbidden)
+    part = maximal_components(g, seeds=[4, 5])
+    assert len(returned) == 2
+    assert part == expected
+    assert [len(c.edges) for c in part.components] == sizes
+
+
 def test_certificate_no_cliff_on_triangle_free_graph():
     # a bipartite circulant: every node has degree 8 and passes the
     # necessary conditions, but every edge's closure is the edge itself
@@ -1103,7 +1131,7 @@ def test_certificate_no_cliff_on_triangle_free_graph():
     g = ViewingGraph(2 * half, tuple(edges[int(k)] for k in rng.permutation(len(edges))))
     assert g.edge_count == 20_000
     t0 = time.perf_counter()
-    assert _certificate(g) is None
+    assert _certificate(g) is False
     assert time.perf_counter() - t0 < 5.0
 
 

@@ -5,8 +5,9 @@ import time
 import numpy as np
 import pytest
 
+from test_engine import BOWTIE, trajectory
 from vgsolve.cli import main
-from vgsolve.engine import _certificate
+from vgsolve.engine import finite_solvability, maximal_components
 from vgsolve.graph import (
     GraphParseError,
     GraphValidationError,
@@ -16,7 +17,7 @@ from vgsolve.graph import (
     parse_edge_list,
     to_edge_list,
 )
-from vgsolve.mining import density_sweep
+from vgsolve.mining import _refuted, density_sweep
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
 SQUARE = "0 1\n1 2\n2 3\n3 0\n"
@@ -180,10 +181,29 @@ def test_text_check_traverses_a_graph_with_a_cut_camera_once(tmp_path, traversal
     assert len({id(g) for g in traversals}) == len(traversals)
 
 
+@pytest.mark.parametrize("compute", [finite_solvability, maximal_components])
+@pytest.mark.parametrize("make", [
+    lambda: BOWTIE,
+    lambda: trajectory(200, 10, np.random.default_rng(293663143))[0],
+], ids=["bowtie", "trajectory200"])
+def test_blocks_are_decided_without_a_traversal_of_their_own(compute, make, traversals):
+    # a block's subgraph is decided from the certificate, seeds and GF(p)
+    # rank alone; the certified blocks here leave no graph over, so the
+    # input graph is the only one traversed
+    g = make()
+    g = ViewingGraph(g.node_count, g.edges)  # no block_cut cached from an earlier test
+    result = compute(g)
+    if compute is finite_solvability:
+        assert (result.finite_solvable, result.path) == (False, "blocks")
+    else:
+        assert len(result.components) == 2
+    assert len(traversals) == 1 and traversals[0] is g
+
+
 def test_rejected_sweep_sample_traversed_once(traversals):
     result = density_sweep(20, 30, 5, 2, threads=1)
-    # _certificate reads the cached result, so it adds no traversal
-    rejected = [g for g in traversals if g.edge_count == 57 and _certificate(g) is False]
+    # _refuted reads the cached result, so it adds no traversal
+    rejected = [g for g in traversals if g.edge_count == 57 and _refuted(g)]
     assert rejected and result.component_count_max > 1
     assert len({id(g) for g in traversals}) == len(traversals)
 

@@ -104,6 +104,18 @@ def test_mine_minimal_counts(n, cands, solv):
     assert res.edge_target == minimal_edge_count(n)
 
 
+def test_mine_minimal_computes_no_second_canonical_code(monkeypatch):
+    # candidates are deduplicated by _graph_code alone; a verdict needs no code
+    import vgsolve.mining as mining
+
+    def forbidden(g):
+        raise AssertionError("a verdict computed a canonical code")
+
+    monkeypatch.setattr(mining, "canonical_form", forbidden)
+    res = mine_minimal(8)
+    assert (res.candidates, res.fin_solv) == (161, 36)
+
+
 def test_mine_minimal_deterministic():
     a = mine_minimal(5)
     b = mine_minimal(5)
@@ -211,12 +223,14 @@ def test_rejected_sweep_sample_is_assembled_only_for_its_components(monkeypatch)
 def test_sweep_runs_the_rank_test_on_samples_the_certificate_leaves_open(monkeypatch):
     # K_{2,3} is solvable; the n=9 graph passes the count bound 84 = 11n - 15
     # but has rank_jp 83, and its 12 edges are 12 components
+    import vgsolve.engine as engine
     import vgsolve.mining as mining
 
     k23 = ViewingGraph(5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)))
     tight = ViewingGraph(9, ((1, 3), (2, 3), (0, 4), (3, 4), (0, 5), (2, 5),
                              (0, 6), (2, 6), (0, 7), (1, 7), (0, 8), (1, 8)))
-    assert mining._certificate(k23) is None and mining._certificate(tight) is None
+    for g in (k23, tight):
+        assert not mining._refuted(g) and engine._certificate(g) is False
     samples = iter([k23, tight])
     calls = []
     solve = mining.finite_solvability

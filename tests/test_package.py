@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +36,12 @@ def test_rank_threshold_and_prime_are_not_parameters():
         assert "tolerance" not in inspect.signature(fn).parameters, fn.__name__
     assert "prime" not in inspect.signature(vgsolve.finite_field_rank).parameters
     assert (vgsolve.DEFAULT_TOLERANCE, vgsolve.DEFAULT_PRIME) == (1e-8, 1_000_000_007)
+
+
+def test_mining_imports_only_public_engine_names():
+    # mining reaches the decision through engine's public functions alone
+    tree = ast.parse(Path(mining.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.level, node.module) in ((1, "engine"), (0, "vgsolve.engine"))
+             for alias in node.names]
+    assert names and not [name for name in names if name.startswith("_")]
